@@ -33,7 +33,6 @@ import time
 from typing import List, Tuple
 
 from bench_utils import PROVIDER, emit_bench_json, emit_table, prepared
-from repro.core.batch_kernel import HAVE_NUMPY
 from repro.graphs import generators
 from repro.graphs.labeled_graph import LabeledGraph
 
@@ -60,7 +59,7 @@ def run_batch_benchmark() -> dict:
     engine = prepared(graph)
 
     # Warm the shared caches (sequence materialisation, NumPy views of the
-    # kernel and the offset tuple) so both sides are measured in steady state.
+    # kernel) so both sides are measured in steady state.
     engine.route_many(pairs, provider=PROVIDER, lockstep=True)
     engine.reference_route_many(pairs[:1], provider=PROVIDER)
 
@@ -142,10 +141,6 @@ def _emit(report: dict) -> None:
 
 
 def test_batch_lockstep_speedup(benchmark):
-    if not HAVE_NUMPY:  # pragma: no cover - exercised by the no-NumPy CI job
-        import pytest
-
-        pytest.skip("NumPy unavailable: the lockstep kernel cannot run")
     report = run_batch_benchmark()
     _emit(report)
     assert not report["mismatches"], report["mismatches"][:3]
@@ -165,9 +160,6 @@ def test_batch_lockstep_speedup(benchmark):
 
 def main() -> int:
     """Standalone entry point (no pytest needed; used by the CI smoke step)."""
-    if not HAVE_NUMPY:  # pragma: no cover - exercised by the no-NumPy CI job
-        print("skip: NumPy unavailable, route_many falls back to the scalar loop")
-        return 0
     report = run_batch_benchmark()
     _emit(report)
     if report["mismatches"]:

@@ -43,7 +43,6 @@ import time
 from bench_utils import emit_bench_json, emit_table
 from repro.analysis.experiments import structured_scenarios
 from repro.analysis.runner import evaluate_shards, plan_sweep, run_sweep
-from repro.core.batch_kernel import HAVE_NUMPY
 from repro.core.engine import clear_prepared_caches, prepared_cache_info
 from repro.core.kernel_store import ENV_KERNEL_CACHE_DIR, configure_kernel_store
 
@@ -228,10 +227,6 @@ def _check(report: dict, warm: dict) -> str:
 
 
 def test_multigraph_lockstep_speedup(benchmark):
-    if not HAVE_NUMPY:  # pragma: no cover - exercised by the no-NumPy CI job
-        import pytest
-
-        pytest.skip("NumPy unavailable: the multi-graph kernel cannot run")
     report = run_multigraph_benchmark()
     warm = run_warm_start_check(report["plan"])
     _emit(report, warm)
@@ -247,9 +242,6 @@ def test_multigraph_lockstep_speedup(benchmark):
 
 def main() -> int:
     """Standalone entry point (no pytest needed; used by the CI smoke step)."""
-    if not HAVE_NUMPY:  # pragma: no cover - exercised by the no-NumPy CI job
-        print("skip: NumPy unavailable, evaluate_shards falls back per shard")
-        return 0
     report = run_multigraph_benchmark()
     warm = run_warm_start_check(report["plan"])
     _emit(report, warm)

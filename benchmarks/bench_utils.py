@@ -55,19 +55,15 @@ def machine_fingerprint() -> Dict[str, object]:
     fingerprint travels with both sides so a cross-machine comparison is
     visible in the artifacts rather than silently misleading.
     """
-    try:
-        import numpy
+    import numpy
 
-        numpy_version = numpy.__version__
-    except Exception:  # pragma: no cover - exercised by the no-NumPy CI job
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": sys.platform,
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
     }
 
 

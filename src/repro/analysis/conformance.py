@@ -77,7 +77,6 @@ from repro.analysis.experiments import (
 from repro.analysis.runner import parallel_map
 from repro.analysis.reporting import format_table
 from repro.baselines import applicable_routers
-from repro.deprecation import warn_once
 from repro.core.engine import prepare, prepare_schedule
 from repro.core.reliable_broadcast import (
     QuorumThresholds,
@@ -101,7 +100,6 @@ __all__ = [
     "is_malicious_scenario",
     "malicious_broadcast_scenarios",
     "conformance_pass",
-    "run_conformance",
 ]
 
 #: Skip the (slow, per-event bit-accounted) distributed realisation when the
@@ -395,36 +393,6 @@ def conformance_pass(
     return report
 
 
-def run_conformance(
-    scenarios: Optional[Sequence[ScenarioSpec]] = None,
-    pairs_per_scenario: int = 4,
-    seed: int = 0,
-    provider: Optional[SequenceProvider] = None,
-    workers: int = 1,
-) -> ConformanceReport:
-    """Deprecated alias of :func:`conformance_pass`.
-
-    Kept for callers of the kwargs-style free function; new code should
-    submit a :class:`repro.api.ConformanceRequest` through
-    :class:`repro.api.Session` and read the uniform
-    :class:`~repro.api.envelope.TaskResult` envelope instead.  Emits one
-    :class:`DeprecationWarning` per process; results are bit-for-bit
-    identical to the new path (asserted in ``tests/test_api_deprecation.py``).
-    """
-    warn_once(
-        "conformance.run_conformance",
-        "run_conformance(...) is deprecated; submit a "
-        "repro.api.ConformanceRequest through repro.api.Session instead",
-    )
-    return conformance_pass(
-        scenarios=scenarios,
-        pairs_per_scenario=pairs_per_scenario,
-        seed=seed,
-        provider=provider,
-        workers=workers,
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Static scenarios
 # --------------------------------------------------------------------------- #
@@ -572,9 +540,7 @@ def _check_static_scenario(
 
     # --- the batched walk kernel against the scalar walks, pair for pair -- #
     # route_many(lockstep=True) routes the whole batch through the NumPy
-    # lockstep kernel (scalar reference when NumPy is absent — the invariant
-    # then degenerates to a self-check, which is exactly the fallback
-    # contract); every element must equal the per-pair scalar result.
+    # lockstep kernel; every element must equal the per-pair scalar result.
     batched_results = engine.route_many(pairs, provider=provider, lockstep=True)
     for (s, t), scalar_result, batched_result in zip(
         pairs, engine_results, batched_results
@@ -899,8 +865,7 @@ def _check_dynamic_scenario(
             check(s, t, "churn-delivery-iff-connected", ok, detail)
 
     # The lockstep schedule stepper must agree with the scalar resumed walk
-    # on every pair (scalar reference when NumPy is absent — see the static
-    # path's batch-parity note).
+    # on every pair.
     batched_results = engine.route_many(pairs, provider=provider, lockstep=True)
     for (s, t), scalar_result, batched_result in zip(
         pairs, scalar_results, batched_results

@@ -19,11 +19,11 @@ one request/result discipline:
   the CLI subcommands and binds each task to its argument set and backend
   routing (:mod:`repro.api.registry`).
 
-The legacy free functions keep working as thin shims (the batch-style ones
-emit a one-time :class:`DeprecationWarning` pointing here), and the
-differential-parity suite asserts that every backend reproduces the legacy
-results exactly.  See ``docs/api.md`` for the task catalogue, envelope
-schema, backend matrix and migration table.
+The per-call free functions (``route``, ``route_on_network``, ...) remain;
+the batch-style ones were removed in favour of requests, and the
+differential-parity suite asserts that every backend reproduces the
+free-function results exactly.  See ``docs/api.md`` for the task catalogue,
+envelope schema, backend matrix and the removal note.
 """
 
 from repro.api.backends import Backend, InlineBackend, ProcessPoolBackend, ScheduleBackend

@@ -241,9 +241,9 @@ def execute_route_batch(request, store: ScenarioStore) -> TaskComputation:
     """Body of the ``route-many`` task against one prepared engine.
 
     ``route_many`` routes large batches through the lockstep batched walk
-    kernel (:mod:`repro.core.batch_kernel`) and falls back to the scalar
-    reference loop for small batches or when NumPy is absent — results are
-    identical either way, so the choice never shows in the payload.
+    kernel (:mod:`repro.core.batch_kernel`) and small batches through the
+    scalar reference loop — results are identical either way, so the choice
+    never shows in the payload.
     """
     network = store.network(request.scenario)
     pairs = _resolve_pairs(request, network)

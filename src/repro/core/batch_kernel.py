@@ -52,11 +52,9 @@ Three steppers are provided:
     :func:`repro.core.engine.route_many_multi` /
     :func:`repro.analysis.runner.evaluate_shards`.
 
-**NumPy is optional.**  When it is not importable, :data:`HAVE_NUMPY` is
-False, the classes raise on construction, and the engine's ``route_many``
-entry points fall back to their scalar reference loops
-(``reference_route_many``) automatically — results are identical either way,
-only the constant factor differs.
+Offsets arrive as the sequence's ``bytes`` buffer
+(:class:`repro.core.exploration.ExplicitSequence`); a stepper that gathers
+them as an array uses :func:`np_offsets_for`, a zero-copy ``int8`` view.
 """
 
 from __future__ import annotations
@@ -65,17 +63,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.errors import RoutingError
 from repro.graphs.labeled_graph import LabeledGraph  # noqa: F401  (doc references)
 from repro.core.walk_kernel import CompiledWalk
 
-try:  # pragma: no cover - exercised by the no-NumPy CI job
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI job
-    _np = None
-
 __all__ = [
-    "HAVE_NUMPY",
     "BatchedWalk",
     "MultiGraphWalk",
     "ScheduleBatchedWalk",
@@ -83,14 +77,11 @@ __all__ = [
     "ScheduleWalkAccount",
     "batched_walk_for",
     "multigraph_walk_for",
+    "np_offsets_for",
     "clear_batch_caches",
     "batch_cache_info",
     "translation_table",
 ]
-
-#: True when NumPy imported successfully; the engine consults this before
-#: routing a batch through the lockstep kernels.
-HAVE_NUMPY = _np is not None
 
 #: Trajectory rows recorded per lockstep chunk before termination checks run.
 #: Chunks start small and double up to the cap: short walks (small graphs,
@@ -106,12 +97,8 @@ _CHUNK_ROWS_MAX = 4096
 #: of exhausting memory; results are identical either way.
 _MAX_BUFFER_ELEMENTS = 1 << 26
 
-#: Bound on cached per-kernel batched steppers / per-sequence offset arrays.
+#: Bound on cached per-kernel batched steppers.
 _BATCH_CACHE_LIMIT = 64
-# Sized to hold a whole multi-graph sweep group's sequences (one per (graph,
-# size-bound) job), not just a single engine's working set — a group larger
-# than this cache would re-convert every tuple on every run.
-_NP_OFFSETS_CACHE_LIMIT = 64
 
 #: Outcome codes of :class:`ScheduleBatchedWalk` (mirroring DynamicOutcome,
 #: which lives above this module in the layer order).
@@ -119,14 +106,6 @@ SCHEDULE_DELIVERED = 0
 SCHEDULE_REPORTED_FAILURE = 1
 SCHEDULE_STRANDED_DEGREE = 2
 SCHEDULE_STRANDED_BUDGET = 3
-
-
-def _require_numpy() -> None:
-    if _np is None:
-        raise RoutingError(
-            "the lockstep batch kernel needs NumPy; install it or use the "
-            "scalar reference_route_many path"
-        )
 
 
 @dataclass(frozen=True)
@@ -211,7 +190,6 @@ class BatchedWalk:
     )
 
     def __init__(self, kernel: CompiledWalk) -> None:
-        _require_numpy()
         self.kernel = kernel
         next_vertex = _np.asarray(kernel.next_vertex, dtype=_np.int64)
         next_port = _np.asarray(kernel.next_port, dtype=_np.int64)
@@ -239,7 +217,7 @@ class BatchedWalk:
     def run(
         self,
         pairs: Sequence[Tuple[int, int]],
-        offsets: Sequence[int],
+        offsets: bytes,
         start_port: int = 0,
         max_buffer_elements: int = _MAX_BUFFER_ELEMENTS,
     ) -> Tuple[Dict[int, StaticWalkAccount], List[int]]:
@@ -375,7 +353,6 @@ class ScheduleBatchedWalk:
         switch_times: Sequence[int],
         gateway_of: Dict[int, int],
     ) -> None:
-        _require_numpy()
         self._steppers = list(steppers)
         self._snapshots = list(snapshots)
         self._switch_times = list(switch_times)
@@ -400,11 +377,11 @@ class ScheduleBatchedWalk:
         self,
         sources: Sequence[int],
         targets: Sequence[int],
-        offsets: Sequence[int],
-        np_offsets: "_np.ndarray",
+        offsets: bytes,
     ) -> List[ScheduleWalkAccount]:
         """Route every pair over the schedule in lockstep; return accounts."""
         length = len(offsets)
+        np_offsets = np_offsets_for(offsets)
         count = len(sources)
         steppers = self._steppers
         snapshots = self._snapshots
@@ -523,7 +500,6 @@ def translation_table(
     reductions — the walk is stranded there.  Built once per real switch of a
     schedule and gathered per tick for the whole batch.
     """
-    _require_numpy()
     count = source_kernel.num_vertices
     table = _np.empty(count, dtype=_np.int32)
     for vertex in range(count):
@@ -566,7 +542,6 @@ class MultiGraphWalk:
     )
 
     def __init__(self, steppers: Sequence[BatchedWalk]) -> None:
-        _require_numpy()
         if not steppers:
             raise RoutingError("MultiGraphWalk needs at least one stepper")
         self.steppers = list(steppers)
@@ -600,7 +575,7 @@ class MultiGraphWalk:
 
     def run(
         self,
-        jobs: Sequence[Tuple[int, Sequence[Tuple[int, int]], Sequence[int]]],
+        jobs: Sequence[Tuple[int, Sequence[Tuple[int, int]], bytes]],
         start_port: int = 0,
         max_buffer_elements: int = _MAX_BUFFER_ELEMENTS,
     ) -> Tuple[Dict[Tuple[int, int], StaticWalkAccount], List[Tuple[int, int]]]:
@@ -619,11 +594,10 @@ class MultiGraphWalk:
         state_base = self.state_base
         steppers = self.steppers
 
-        # Cached int8 views of each job's exploration sequence (the tuple-to-
-        # array conversion is amortised across runs); the hot loop slices the
-        # walked window per chunk instead of materialising a padded
-        # jobs x max_length matrix — sequences run to millions of entries
-        # while typical batches resolve within a few thousand steps.
+        # The hot loop slices the walked window of each job's sequence per
+        # chunk instead of materialising a padded jobs x max_length matrix —
+        # sequences run to millions of entries while typical batches resolve
+        # within a few thousand steps.
         lengths = [len(offsets) for _stepper, _pairs, offsets in jobs]
         max_length = max(lengths, default=0)
         job_offsets = [
@@ -780,10 +754,6 @@ class MultiGraphWalk:
 #: so an id cannot be recycled while its entry lives.
 _BATCH_CACHE: "OrderedDict[int, BatchedWalk]" = OrderedDict()
 
-#: int8 offset arrays keyed by ``id(offsets tuple)`` (the engine's offsets
-#: cache keeps the tuples alive and identity-stable).
-_NP_OFFSETS_CACHE: "OrderedDict[int, Tuple[object, object]]" = OrderedDict()
-
 #: Stacked multi-graph steppers keyed by the tuple of member stepper ids;
 #: entries hold the steppers strongly so the ids stay valid.
 _MULTI_CACHE: "OrderedDict[Tuple[int, ...], Tuple[Tuple[BatchedWalk, ...], MultiGraphWalk]]" = OrderedDict()
@@ -824,25 +794,14 @@ def multigraph_walk_for(steppers: Sequence[BatchedWalk]) -> MultiGraphWalk:
     return multi
 
 
-def np_offsets_for(offsets: Sequence[int]) -> "_np.ndarray":
-    """Cached int8 array view of a raw offset tuple (values in {0, 1, 2})."""
-    _require_numpy()
-    key = id(offsets)
-    entry = _NP_OFFSETS_CACHE.get(key)
-    if entry is not None and entry[0] is offsets:
-        _NP_OFFSETS_CACHE.move_to_end(key)
-        return entry[1]
-    array = _np.asarray(offsets, dtype=_np.int8)
-    _NP_OFFSETS_CACHE[key] = (offsets, array)
-    while len(_NP_OFFSETS_CACHE) > _NP_OFFSETS_CACHE_LIMIT:
-        _NP_OFFSETS_CACHE.popitem(last=False)
-    return array
+def np_offsets_for(offsets: bytes) -> "_np.ndarray":
+    """Read-only ``int8`` view of an offsets buffer; shares its memory."""
+    return _np.frombuffer(offsets, dtype=_np.int8)
 
 
 def clear_batch_caches() -> None:
-    """Drop every cached batched stepper and offset array (worker cold start)."""
+    """Drop every cached batched and multi-graph stepper (worker cold start)."""
     _BATCH_CACHE.clear()
-    _NP_OFFSETS_CACHE.clear()
     _MULTI_CACHE.clear()
 
 
@@ -850,6 +809,5 @@ def batch_cache_info() -> Dict[str, int]:
     """Sizes of the batch-kernel caches, for this process (diagnostics only)."""
     return {
         "batched_kernels": len(_BATCH_CACHE),
-        "np_offset_entries": len(_NP_OFFSETS_CACHE),
         "multigraph_kernels": len(_MULTI_CACHE),
     }

@@ -15,8 +15,9 @@ is pure overhead: the topology never changes between calls.
   that turns each walk step into two list indexes;
 * the per-component size table that makes the ``CountNodes`` bound an O(1)
   lookup;
-* a per-(provider, bound) cache of raw offset tuples so the exploration
-  sequence is materialised exactly once.
+* a per-(provider, bound) cache of the exploration sequence's offsets
+  buffer (one byte per entry, shared with the provider and viewed without
+  copying by the lockstep kernels), so each sequence is materialised once.
 
 It then serves unlimited :meth:`route` calls and the batch API
 :meth:`route_many` against that shared state.  :func:`prepare` maintains a
@@ -26,11 +27,10 @@ same graph object.
 
 Batches large enough to amortise vectorization run on the lockstep batched
 walk kernel of :mod:`repro.core.batch_kernel` (all walks advance one
-synchronous step at a time over the compiled arrays); small batches, and
-every batch when NumPy is not installed, run the scalar loops
-``reference_route_many`` — the executable specifications the batched path
-must match element for element (asserted by the ``batch-parity`` conformance
-invariant and ``benchmarks/bench_batch.py``).
+synchronous step at a time over the compiled arrays); small batches run the
+scalar loops ``reference_route_many`` — the executable specifications the
+batched path must match element for element (asserted by the
+``batch-parity`` conformance invariant and ``benchmarks/bench_batch.py``).
 
 Results are bit-for-bit identical to the seed walkers: the kernel encodes the
 same rotation map, the step rule is unchanged, and the header accounting uses
@@ -85,9 +85,9 @@ from repro.core.routing import (
     _header_bits,
     default_provider,
 )
+from repro.core.exploration import ExplicitSequence
 from repro.core.universal import SequenceProvider
 from repro.core.walk_kernel import CompiledWalk
-from repro.deprecation import warn_once
 from repro.errors import RoutingError
 from repro.graphs.degree_reduction import DegreeReducedGraph, reduce_to_three_regular
 from repro.graphs.labeled_graph import LabeledGraph
@@ -106,11 +106,10 @@ __all__ = [
     "prepare",
     "prepare_schedule",
     "prepared_cache_info",
-    "route_many",
     "route_many_multi",
 ]
 
-#: Per-engine bound on cached (provider, bound) offset tuples; CountNodes'
+#: Per-engine bound on cached (provider, bound) offset buffers; CountNodes'
 #: doubling loop needs ~log2(n) live bounds per provider, so 32 is generous.
 _OFFSETS_CACHE_LIMIT = 32
 
@@ -131,10 +130,8 @@ _LOCKSTEP_AUTO_MIN_WORK = 32_768
 def _use_lockstep(
     requested: Optional[bool], batch_size: int, minimum: int, kernel_size: int
 ) -> bool:
-    """Resolve the ``lockstep`` tri-state against NumPy, batch and walk size."""
-    from repro.core.batch_kernel import HAVE_NUMPY
-
-    if not HAVE_NUMPY or batch_size == 0:
+    """Resolve the ``lockstep`` tri-state against batch and walk size."""
+    if batch_size == 0:
         return False
     if requested is None:
         return (
@@ -189,7 +186,7 @@ class PreparedNetwork:
         #: (id(provider), bound) -> (provider, offsets); the provider is kept
         #: so its id cannot be recycled while the entry lives.  LRU-bounded so
         #: sweeps that create a fresh provider per trial cannot pin an
-        #: unbounded pile of providers and offset tuples on a cached engine.
+        #: unbounded pile of providers and offset buffers on a cached engine.
         self._offsets_cache: LRUCache = LRUCache(_OFFSETS_CACHE_LIMIT)
         self._original_components: Optional[Dict[int, FrozenSet[int]]] = None
 
@@ -236,18 +233,21 @@ class PreparedNetwork:
 
     def offsets_for(
         self, bound: int, provider: Optional[SequenceProvider] = None
-    ) -> Sequence[int]:
-        """Raw offset tuple of ``T_bound``, materialised once per provider."""
+    ) -> bytes:
+        """Offsets buffer of ``T_bound`` (one byte per entry), once per provider.
+
+        A provider's :class:`~repro.core.exploration.ExplicitSequence` hands
+        over its own buffer; any other sequence is copied into one first.
+        """
         provider = provider if provider is not None else self._default_provider
         key = (id(provider), bound)
         entry = self._offsets_cache.get(key)
         if entry is not None:
             return entry[1]
         sequence = provider.sequence_for(bound)
-        raw = getattr(sequence, "offsets", None)
-        offsets = raw() if callable(raw) else tuple(
-            sequence[i] for i in range(len(sequence))
-        )
+        if not isinstance(sequence, ExplicitSequence):
+            sequence = ExplicitSequence(sequence[i] for i in range(len(sequence)))
+        offsets = sequence.offsets()
         self._offsets_cache.put(key, (provider, offsets))
         return offsets
 
@@ -312,32 +312,36 @@ class PreparedNetwork:
         owner = kernel.owner
 
         vertex, entry = gateway, start_port
-        index = 0
+        current_owner = owner[vertex]
         forward_steps = 0
         physical_hops = 0
         target_found_at: Optional[int] = None
+        outcome = RouteOutcome.FAILURE
 
         # Forward phase: follow the sequence until the target is met or the
-        # sequence is exhausted (step rule identical to the seed walker).
-        while True:
-            current_owner = owner[vertex]
-            if current_owner == target:
-                outcome = RouteOutcome.SUCCESS
-                target_found_at = forward_steps
-                break
-            if index >= length:
-                outcome = RouteOutcome.FAILURE
-                break
-            edge = 3 * vertex + (entry + offsets[index]) % 3
-            vertex = next_vertex[edge]
-            entry = next_port[edge]
-            index += 1
-            forward_steps += 1
-            if owner[vertex] != current_owner:
-                physical_hops += 1
+        # sequence is exhausted (step rule identical to the seed walker).  The
+        # walk can only meet the target when it changes owner, so the target
+        # test rides on the physical-hop test.
+        if current_owner == target:
+            outcome = RouteOutcome.SUCCESS
+            target_found_at = 0
+        else:
+            for offset in offsets:
+                edge = 3 * vertex + (entry + offset) % 3
+                vertex = next_vertex[edge]
+                entry = next_port[edge]
+                forward_steps += 1
+                if owner[vertex] != current_owner:
+                    physical_hops += 1
+                    current_owner = owner[vertex]
+                    if current_owner == target:
+                        outcome = RouteOutcome.SUCCESS
+                        target_found_at = forward_steps
+                        break
 
         # Backward phase: retrace the walk (reversibility, Section 2) until a
         # virtual node of the source is reached, carrying the status.
+        index = forward_steps
         backward_steps = 0
         while owner[vertex] != source and index > 0:
             edge = 3 * vertex + entry
@@ -383,13 +387,13 @@ class PreparedNetwork:
         short walks are faster scalar) run on the NumPy lockstep kernel
         (:class:`repro.core.batch_kernel.BatchedWalk` — all walks advance one
         synchronous step at a time with one fused gather per step); small
-        batches, and every batch when NumPy is absent, run the scalar loop
-        :meth:`reference_route_many`, the executable specification.  Results
+        batches run the scalar loop :meth:`reference_route_many`, the
+        executable specification.  Results
         are bit-for-bit identical either way (the ``batch-parity``
         conformance invariant and ``benchmarks/bench_batch.py`` assert it).
 
         ``lockstep`` forces the choice: ``True`` routes through the batched
-        kernel whenever NumPy is available (no size threshold), ``False``
+        kernel (no size threshold), ``False``
         always uses the scalar reference, ``None`` (default) picks
         automatically.
         """
@@ -424,8 +428,8 @@ class PreparedNetwork:
 
         One :meth:`route` call per pair over the compiled kernel.  The
         lockstep batched path must match this list element for element; it is
-        also the automatic fallback when NumPy is unavailable or the batch is
-        too small for vectorization to pay off.
+        also the automatic choice when the batch is too small for
+        vectorization to pay off.
         """
         return [
             self.route(
@@ -681,37 +685,6 @@ def prepare(network_or_graph: object) -> PreparedNetwork:
     return engine
 
 
-def route_many(
-    graph: LabeledGraph,
-    pairs: Iterable[Tuple[int, int]],
-    provider: Optional[SequenceProvider] = None,
-    size_bound: Optional[int] = None,
-    start_port: int = 0,
-    namespace_size: Optional[int] = None,
-) -> List[RouteResult]:
-    """Batch-route ``pairs`` on ``graph`` through the shared prepared engine.
-
-    Deprecated free-function form: new code should submit a
-    :class:`repro.api.RouteBatchRequest` through :class:`repro.api.Session`
-    (or call :meth:`PreparedNetwork.route_many` on a prepared engine, which
-    is what both paths execute).  Emits one :class:`DeprecationWarning` per
-    process; results are unchanged.
-    """
-    warn_once(
-        "engine.route_many",
-        "repro.core.engine.route_many(...) is deprecated; submit a "
-        "repro.api.RouteBatchRequest through repro.api.Session (or use "
-        "PreparedNetwork.route_many) instead",
-    )
-    return prepare(graph).route_many(
-        pairs,
-        provider=provider,
-        size_bound=size_bound,
-        start_port=start_port,
-        namespace_size=namespace_size,
-    )
-
-
 # ---------------------------------------------------------------------- #
 # Schedule-aware engine (dynamic-topology extension)
 # ---------------------------------------------------------------------- #
@@ -735,7 +708,7 @@ class PreparedSchedule:
     * snapshots that are *rotation-identical* (equal as port-labeled graphs,
       not merely same edge set — the walk consults port labels) share one
       kernel even when they are distinct objects;
-    * the offset tuple of the exploration sequence is materialised once per
+    * the offsets buffer of the exploration sequence is materialised once per
       ``(provider, bound)`` through the snapshot-0 engine's cache.
 
     :meth:`route` then replays the schedule walk by *resuming* the flat-array
@@ -946,9 +919,8 @@ class PreparedSchedule:
         batches run on the NumPy lockstep stepper
         (:class:`repro.core.batch_kernel.ScheduleBatchedWalk`: shared global
         clock, per-walk ``(vertex, entry port, phase)`` state vectors,
-        switch-overs translated through precomputed tables); small batches,
-        and every batch when NumPy is absent, run the scalar loop
-        :meth:`reference_route_many`.  Results are identical either way (the
+        switch-overs translated through precomputed tables); small batches
+        run the scalar loop :meth:`reference_route_many`.  Results are identical either way (the
         dynamic ``batch-parity`` conformance invariant asserts it).
         ``lockstep`` forces the choice exactly as in
         :meth:`PreparedNetwork.route_many`.
@@ -1020,12 +992,10 @@ class PreparedSchedule:
             offsets = engine0.offsets_for(
                 bound, provider if provider is not None else self._default_provider
             )
-            np_offsets = batch_kernel.np_offsets_for(offsets)
             accounts = stepper.run(
                 [pairs[index][0] for index in indices],
                 [pairs[index][1] for index in indices],
                 offsets,
-                np_offsets,
             )
             for local_index, account in enumerate(accounts):
                 index = indices[local_index]
@@ -1137,8 +1107,6 @@ def route_many_multi(
     threshold clear it together), ``True`` forces the stacked kernel,
     ``False`` falls back to per-task ``route_many`` with ``lockstep=False``.
     """
-    from repro.core.batch_kernel import HAVE_NUMPY
-
     normalized: List[Tuple[PreparedNetwork, List[Tuple[int, int]], Optional[int]]] = []
     for engine_or_graph, pairs, namespace_size in tasks:
         engine = (
@@ -1155,12 +1123,11 @@ def route_many_multi(
     )
     if lockstep is None:
         use_stacked = (
-            HAVE_NUMPY
-            and total_pairs >= _LOCKSTEP_AUTO_MIN_STATIC
+            total_pairs >= _LOCKSTEP_AUTO_MIN_STATIC
             and aggregate_work >= _LOCKSTEP_AUTO_MIN_WORK
         )
     else:
-        use_stacked = bool(lockstep) and HAVE_NUMPY and total_pairs > 0
+        use_stacked = bool(lockstep) and total_pairs > 0
     if not use_stacked:
         return [
             engine.route_many(
@@ -1179,7 +1146,7 @@ def route_many_multi(
     # One BatchedWalk per distinct kernel; one job per (task, size bound).
     steppers: List[object] = []
     stepper_index: Dict[int, int] = {}
-    jobs: List[Tuple[int, List[Tuple[int, int]], Sequence[int]]] = []
+    jobs: List[Tuple[int, List[Tuple[int, int]], bytes]] = []
     #: job -> (task index, task-local pair indices, bound, header_bits, length)
     job_meta: List[Tuple[int, List[int], int, int, int]] = []
     for task_index, (engine, pairs, namespace_size) in enumerate(normalized):
@@ -1265,7 +1232,7 @@ def prepared_cache_info() -> Dict[str, int]:
     the numbers describe local behaviour only; the sweep runner can surface
     them to verify that rotation-identical graphs really compiled once per
     process.  ``offset_entries`` totals the per-engine ``(provider, bound)``
-    offset-tuple caches, so a session can see sequence materialisation cost
+    offset-buffer caches, so a session can see sequence materialisation cost
     too; :meth:`repro.api.Session.cache_info` merges these numbers with the
     session-scoped scenario-cache counters (the ``repro sweep`` summary line
     prints that merged view).

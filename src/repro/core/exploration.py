@@ -20,10 +20,11 @@ distributed realisation lives in :mod:`repro.core.routing`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Protocol, Set
 
-from repro.errors import SequenceExhaustedError
+from repro.errors import SequenceError, SequenceExhaustedError
 from repro.graphs.connectivity import connected_component
 from repro.graphs.labeled_graph import LabeledGraph
 
@@ -73,10 +74,26 @@ class ExplorationSequence(Protocol):
 
 
 class ExplicitSequence:
-    """An exploration sequence backed by an in-memory list of offsets."""
+    """An exploration sequence backed by one byte per offset.
 
-    def __init__(self, offsets: Sequence[int]) -> None:
-        self._offsets: Tuple[int, ...] = tuple(int(t) for t in offsets)
+    The ``bytes`` buffer is the only stored form of ``T_n``: the scalar walk
+    reads it entry by entry and the lockstep kernels view it as an ``int8``
+    array without copying (:func:`repro.core.batch_kernel.np_offsets_for`).
+    Every offset must lie in ``{0, 1, 2}`` — the walk runs on 3-regular
+    graphs, and the lockstep kernels index one transition table per offset.
+    """
+
+    def __init__(self, offsets: Iterable[int]) -> None:
+        if not isinstance(offsets, bytes):
+            try:
+                offsets = bytes(map(operator.index, offsets))
+            except (TypeError, ValueError) as exc:
+                raise SequenceError(
+                    f"offsets must be integers in {{0, 1, 2}}: {exc}"
+                ) from None
+        if offsets.translate(None, b"\x00\x01\x02"):
+            raise SequenceError("offsets must be integers in {0, 1, 2}")
+        self._offsets = offsets
 
     def __len__(self) -> int:
         return len(self._offsets)
@@ -104,8 +121,8 @@ class ExplicitSequence:
         suffix = ", ..." if len(self._offsets) > 8 else ""
         return f"ExplicitSequence([{preview}{suffix}], length={len(self._offsets)})"
 
-    def offsets(self) -> Tuple[int, ...]:
-        """The raw offsets as a tuple."""
+    def offsets(self) -> bytes:
+        """The raw offsets, one byte each."""
         return self._offsets
 
 

@@ -11,7 +11,7 @@ holding three tiers, consulted in order:
    identity).  Entries hold their graph/schedule strongly, so an ``id`` can
    never be recycled while its entry is alive; hit/miss/eviction counters are
    surfaced through :func:`repro.core.engine.prepared_cache_info`.
-2. **Disk** *(optional, NumPy only)* — compiled walk kernels persisted as one
+2. **Disk** *(optional)* — compiled walk kernels persisted as one
    flat ``int64`` ``.npy`` file per kernel, content-addressed by
    :func:`repro.core.walk_kernel.rotation_hash` of the source graph.  Equal
    graphs (rotation-map equality — the only equality the walk observes) map
@@ -53,16 +53,10 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Iterator, List, Optional
 
+import numpy as _np
+
 from repro.core.walk_kernel import CompiledWalk, rotation_hash
 from repro.errors import GraphStructureError
-
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
 
 __all__ = [
     "DEFAULT_ENGINE_CAPACITY",
@@ -386,8 +380,8 @@ class KernelStore:
 
     @property
     def disk_enabled(self) -> bool:
-        """Whether the persistence tier is active (dir configured + NumPy)."""
-        return HAVE_NUMPY and self.cache_dir is not None
+        """Whether the persistence tier is active (a cache directory is configured)."""
+        return self.cache_dir is not None
 
     def _load_kernel(self, path: str) -> Optional[CompiledWalk]:
         """Read and validate one persisted kernel; ``None`` on any problem."""

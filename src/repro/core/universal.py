@@ -126,8 +126,8 @@ class RandomSequenceProvider(SequenceProvider):
     def sequence_for(self, n: int) -> ExplicitSequence:
         if n not in self._cache:
             length = self._length_fn(n) * self._length_multiplier
-            rng = random.Random(f"{self._seed}:{n}:{self._length_multiplier}")
-            self._cache[n] = ExplicitSequence(rng.randrange(3) for _ in range(length))
+            randrange = random.Random(f"{self._seed}:{n}:{self._length_multiplier}").randrange
+            self._cache[n] = ExplicitSequence(bytes(randrange(3) for _ in range(length)))
         return self._cache[n]
 
     def clear_cache(self) -> None:

@@ -12,25 +12,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-try:  # pragma: no cover - exercised by the no-NumPy CI job
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI job
-    np = None
+import numpy as np
 
 from repro.graphs.connectivity import connected_components, shortest_path_lengths
 from repro.graphs.labeled_graph import LabeledGraph
-
-#: True when NumPy imported; the matrix/spectral helpers below need it, the
-#: structural ones (histograms, diameters, summaries) do not.
-HAVE_NUMPY = np is not None
-
-
-def _require_numpy(what: str) -> None:
-    if np is None:
-        raise ImportError(
-            f"{what} needs NumPy, which is not installed; the structural "
-            "helpers of repro.graphs.properties work without it"
-        )
 
 __all__ = [
     "degree_histogram",
@@ -61,7 +46,6 @@ def adjacency_matrix(graph: LabeledGraph) -> "np.ndarray":
     A half-loop contributes 1 to the diagonal and a two-port self-loop
     contributes 2, matching the convention that the row sum equals the degree.
     """
-    _require_numpy("adjacency_matrix")
     index = {v: i for i, v in enumerate(graph.vertices)}
     n = graph.num_vertices
     matrix = np.zeros((n, n), dtype=float)
@@ -76,7 +60,6 @@ def adjacency_matrix(graph: LabeledGraph) -> "np.ndarray":
 
 def transition_matrix(graph: LabeledGraph) -> "np.ndarray":
     """Row-stochastic random-walk transition matrix ``P[v, w]``."""
-    _require_numpy("transition_matrix")
     matrix = adjacency_matrix(graph)
     degrees = matrix.sum(axis=1)
     if np.any(degrees == 0):
@@ -97,7 +80,6 @@ def second_eigenvalue(graph: LabeledGraph) -> float:
     produced by a couple of zig-zag rounds) switch to sparse Lanczos iteration
     so the computation stays within memory.
     """
-    _require_numpy("second_eigenvalue")
     if graph.num_vertices <= 1:
         return 0.0
     if graph.num_vertices <= _SPARSE_THRESHOLD:

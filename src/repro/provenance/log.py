@@ -68,13 +68,14 @@ def _scan(path: str) -> Tuple[List[Dict[str, object]], List[str]]:
     issues: List[str] = []
     # errors="replace": a corrupted byte must surface as an unparseable
     # *record* (named by index), never as a decoding crash of the whole scan.
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+    # newline="": lines keep their raw terminators, so a flipped terminator
+    # (say "\n" -> "\r") cannot be normalised away before the check below.
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as handle:
         for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
+            if not line.strip():
                 continue
             index = len(records)
-            record = _parse_line(stripped)
+            record = _parse_line(line)
             if record is None:
                 issues.append(
                     f"record {index}: unparseable line {line_number} "
@@ -86,6 +87,15 @@ def _scan(path: str) -> Tuple[List[Dict[str, object]], List[str]]:
                 issues.append(
                     f"record {index}: record_hash mismatch on line {line_number} "
                     f"(stored {str(stored)[:16]!r}...)"
+                )
+                continue
+            # A record is exactly its canonical encoding plus "\n"; only the
+            # file's last line may lack the terminator (a writer killed right
+            # before it; reopening the log for append terminates it).
+            if line.removesuffix("\n") != canonical_json(record):
+                issues.append(
+                    f"record {index}: non-canonical bytes on line {line_number} "
+                    "(whitespace or terminator altered)"
                 )
                 continue
             records.append(record)

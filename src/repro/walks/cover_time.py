@@ -18,10 +18,7 @@ from dataclasses import dataclass
 from statistics import mean, median
 from typing import List, Optional, Sequence
 
-try:  # pragma: no cover - exercised by the no-NumPy CI job
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI job
-    np = None
+import numpy as np
 
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.properties import adjacency_matrix, second_eigenvalue
@@ -118,8 +115,6 @@ def spectral_mixing_time_bound(graph: LabeledGraph, epsilon: float = 0.25) -> fl
     ``inf`` when the graph is disconnected or bipartite-degenerate
     (``lambda_2 = 1``).
     """
-    if np is None:  # pragma: no cover - exercised by the no-NumPy CI job
-        raise ImportError("spectral_mixing_time_bound needs NumPy")
     n = max(2, graph.num_vertices)
     lam = second_eigenvalue(graph)
     gap = 1.0 - lam

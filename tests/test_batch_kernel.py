@@ -6,21 +6,19 @@ static or dynamic — and any pair batch — including repeated pairs and
 self-pairs — its output must equal the scalar reference loop element for
 element.  Hypothesis drives that equality over random networks, random
 schedules and random batches; unit tests pin the dispatch policy (auto
-threshold, forced modes, the no-NumPy fallback) and the trajectory-buffer
-cap's scalar spill-over.
+threshold, forced modes) and the trajectory-buffer cap's scalar spill-over.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import ScenarioSpec, build_schedule
 from repro.core import batch_kernel
-from repro.core.batch_kernel import HAVE_NUMPY, batched_walk_for
+from repro.core.batch_kernel import batched_walk_for
 from repro.core.engine import PreparedNetwork, prepare, prepare_schedule
 from repro.core.universal import RandomSequenceProvider
 from repro.graphs import generators
@@ -33,10 +31,6 @@ _RELAXED = settings(
     max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="NumPy unavailable: the lockstep kernel cannot run"
 )
 
 
@@ -142,18 +136,6 @@ def test_lockstep_false_forces_the_reference_path(grid_4x4, provider, monkeypatc
     assert results == engine.reference_route_many(pairs, provider=provider)
 
 
-def test_missing_numpy_falls_back_to_reference(grid_4x4, provider, monkeypatch):
-    # With NumPy "absent", even lockstep=True must silently take the scalar
-    # loop — that is the automatic-fallback contract.
-    monkeypatch.setattr(batch_kernel, "HAVE_NUMPY", False)
-    _forbid_batched(monkeypatch, PreparedNetwork)
-    engine = prepare(grid_4x4)
-    pairs = [(0, 15)] * 40
-    results = engine.route_many(pairs, provider=provider, lockstep=True)
-    assert results == engine.reference_route_many(pairs, provider=provider)
-
-
-@needs_numpy
 def test_auto_policy_routes_large_batches_through_the_kernel(provider, monkeypatch):
     # Large batch x large kernel clears both auto thresholds: the default
     # dispatch must take the lockstep kernel (the scalar loop is forbidden
@@ -168,7 +150,6 @@ def test_auto_policy_routes_large_batches_through_the_kernel(provider, monkeypat
     assert engine.route_many(pairs, provider=provider) == expected
 
 
-@needs_numpy
 def test_auto_policy_keeps_small_graphs_on_the_reference_path(
     grid_4x4, provider, monkeypatch
 ):
@@ -183,7 +164,6 @@ def test_auto_policy_keeps_small_graphs_on_the_reference_path(
     )
 
 
-@needs_numpy
 def test_buffer_cap_hands_unresolved_pairs_back(provider):
     # A cap too small for even one chunk forces every non-self pair back to
     # the caller; the pairs the stepper does resolve must still be exact.
@@ -198,7 +178,6 @@ def test_buffer_cap_hands_unresolved_pairs_back(provider):
     assert accounts[1].success and accounts[1].forward_steps == 0
 
 
-@needs_numpy
 def test_engine_finishes_capped_batches_on_the_scalar_kernel(
     grid_4x4, provider, monkeypatch
 ):

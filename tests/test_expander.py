@@ -16,14 +16,7 @@ from repro.expander.rotation_ops import add_self_loops, graph_power, graph_squar
 from repro.expander.spectral import certify_expander, spectral_report
 from repro.graphs import generators
 from repro.graphs.connectivity import is_connected
-from repro.graphs.properties import HAVE_NUMPY, second_eigenvalue
-
-#: The zig-zag substrate is validated spectrally throughout; without NumPy
-#: the eigenvalue machinery cannot run, so the no-NumPy CI job skips this
-#: module (the routing layers it feeds are covered NumPy-free elsewhere).
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="NumPy unavailable: spectral certification cannot run"
-)
+from repro.graphs.properties import second_eigenvalue
 
 
 # --------------------------------------------------------------------------- #

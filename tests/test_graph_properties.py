@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-# The matrix/spectral helpers under test are NumPy-only; the no-NumPy CI job
-# skips this module (the structural helpers are covered import-free below the
-# routing tests they support).
-try:
-    import numpy as np
-except ImportError:
-    pytest.skip("NumPy unavailable: matrix/spectral helpers cannot run",
-                allow_module_level=True)
+import numpy as np
 
 from repro.graphs import generators
 from repro.graphs.labeled_graph import LabeledGraph

@@ -20,7 +20,6 @@ import os
 
 import pytest
 
-from repro.core import kernel_store as kernel_store_module
 from repro.core.engine import (
     clear_prepared_caches,
     configure_kernel_store,
@@ -153,13 +152,6 @@ def test_capacity_validation():
 # --------------------------------------------------------------------------- #
 
 
-needs_numpy = pytest.mark.skipif(
-    not kernel_store_module.HAVE_NUMPY,
-    reason="the disk tier needs NumPy",
-)
-
-
-@needs_numpy
 def test_round_trip_reloads_without_recompiling(clean_store, tmp_path, provider):
     cache_dir = str(tmp_path / "kernels")
     configure_kernel_store(cache_dir=cache_dir)
@@ -186,7 +178,6 @@ def test_round_trip_reloads_without_recompiling(clean_store, tmp_path, provider)
     assert after == before
 
 
-@needs_numpy
 def test_disk_loaded_kernel_recomputes_reduction_lazily(clean_store, tmp_path):
     configure_kernel_store(cache_dir=str(tmp_path))
     clear_prepared_caches()
@@ -200,7 +191,6 @@ def test_disk_loaded_kernel_recomputes_reduction_lazily(clean_store, tmp_path):
     assert engine.kernel.num_vertices == CompiledWalk(reduction).num_vertices
 
 
-@needs_numpy
 @pytest.mark.parametrize("corruption", ["garbage", "truncated", "bad-magic"])
 def test_corrupt_kernel_file_recompiles_and_self_heals(
     clean_store, tmp_path, provider, corruption
@@ -239,7 +229,6 @@ def test_corrupt_kernel_file_recompiles_and_self_heals(
     assert info["kernel_compiles"] == 0 and info["disk_hits"] == 1
 
 
-@needs_numpy
 def test_kernel_arrays_round_trip_exactly():
     graph = generators.petersen_graph()
     kernel = prepare(graph).kernel
@@ -281,23 +270,6 @@ def test_defaults_without_environment(clean_store):
     assert store.cache_dir is None
     assert not store.disk_enabled
     assert store.engines.capacity == DEFAULT_ENGINE_CAPACITY
-
-
-def test_disk_tier_inert_without_numpy(clean_store, tmp_path, provider, monkeypatch):
-    # KernelStore-disabled fallback: with NumPy "absent" the configured dir
-    # must never be touched and every kernel compiles in-process as before.
-    monkeypatch.setattr(kernel_store_module, "HAVE_NUMPY", False)
-    configure_kernel_store(cache_dir=str(tmp_path))
-    store = kernel_store()
-    assert not store.disk_enabled
-    graph = generators.grid_graph(3, 3)
-    results = _route(graph, provider)
-    assert os.listdir(str(tmp_path)) == []
-    info = prepared_cache_info()
-    assert info["kernel_disk_enabled"] == 0
-    assert info["kernel_compiles"] >= 1
-    # Routing itself is unaffected by the missing tier.
-    assert results == _route(graph, provider)
 
 
 # --------------------------------------------------------------------------- #

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import ScenarioSpec
 from repro.analysis.runner import evaluate_shard, evaluate_shards, plan_sweep
 from repro.core.batch_kernel import (
-    HAVE_NUMPY,
     MultiGraphWalk,
     batched_walk_for,
     multigraph_walk_for,
@@ -41,10 +39,6 @@ _RELAXED = settings(
     max_examples=12,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="NumPy unavailable: the lockstep kernel cannot run"
 )
 
 
@@ -102,7 +96,6 @@ def _mixed_batches(draw):
 # --------------------------------------------------------------------------- #
 
 
-@needs_numpy
 @_RELAXED
 @given(tasks=_mixed_batches())
 def test_route_many_multi_equals_reference(tasks):
@@ -112,7 +105,6 @@ def test_route_many_multi_equals_reference(tasks):
         assert results == engine.reference_route_many(pairs, provider=_PROVIDER)
 
 
-@needs_numpy
 @_RELAXED
 @given(tasks=_mixed_batches())
 def test_route_many_multi_auto_equals_reference(tasks):
@@ -136,7 +128,6 @@ def _forbid(monkeypatch, cls, name):
     monkeypatch.setattr(cls, name, _fail)
 
 
-@needs_numpy
 def test_aggregate_dispatch_stacks_small_per_task_batches(monkeypatch):
     # Each task alone is far below the single-graph lockstep threshold; the
     # aggregate clears it, so the stacked kernel must engage (the scalar
@@ -164,7 +155,6 @@ def test_aggregate_dispatch_stacks_small_per_task_batches(monkeypatch):
     assert route_many_multi(tasks, provider=_PROVIDER) == expected
 
 
-@needs_numpy
 def test_tiny_aggregates_fall_back_per_task(grid_4x4, provider, monkeypatch):
     # Two pairs in total: the aggregate threshold is not met, so the stacked
     # kernel must stay out of the way entirely.
@@ -177,7 +167,6 @@ def test_tiny_aggregates_fall_back_per_task(grid_4x4, provider, monkeypatch):
     )
 
 
-@needs_numpy
 def test_lockstep_false_forces_per_task_reference(monkeypatch):
     graph = generators.grid_graph(8, 8)
     vertices = list(graph.vertices)
@@ -193,7 +182,6 @@ def test_lockstep_false_forces_per_task_reference(monkeypatch):
 # --------------------------------------------------------------------------- #
 
 
-@needs_numpy
 def test_buffer_cap_hands_unresolved_pairs_back():
     # A cap too small for even one chunk forces every non-self pair of every
     # job back to the caller; self-pairs still resolve exactly.
@@ -212,7 +200,6 @@ def test_buffer_cap_hands_unresolved_pairs_back():
         assert account.success and account.forward_steps == 0
 
 
-@needs_numpy
 def test_spilled_pairs_complete_on_the_scalar_kernel(monkeypatch):
     # Wrap the stacked run with a tiny buffer: route_many_multi must finish
     # the spilled pairs on the scalar engine and still match the reference.
@@ -272,20 +259,8 @@ def _mixed_plan():
     )
 
 
-@needs_numpy
 def test_evaluate_shards_matches_per_shard_reference():
     plan = _mixed_plan()
     reference = [evaluate_shard(shard) for shard in plan.shards]
     for multigraph in (None, True, False):
         assert evaluate_shards(plan.shards, multigraph=multigraph) == reference
-
-
-def test_evaluate_shards_without_numpy_matches_reference(monkeypatch):
-    # With NumPy "absent" the stacked path must silently degrade to the
-    # per-shard loop — same rows, no error.
-    from repro.core import batch_kernel
-
-    monkeypatch.setattr(batch_kernel, "HAVE_NUMPY", False)
-    plan = _mixed_plan()
-    reference = [evaluate_shard(shard) for shard in plan.shards]
-    assert evaluate_shards(plan.shards, multigraph=True) == reference

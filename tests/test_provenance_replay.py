@@ -6,18 +6,18 @@ public execution paths and the fresh payload matches the recorded one
 bit-for-bit (modulo the masked run-dependent fields).  Alongside replay this
 file pins the sweep runner's migration to :class:`repro.provenance.log.ResultLog`:
 the CLI acceptance path (2-worker sweep → verify → replay → tamper →
-verify fails), resume over hash-tampered records, the deprecated raw-JSONL
-shims' parity, and record/record diffing.
+verify fails), resume over hash-tampered records, unsealed raw records, and
+record/record diffing.
 """
 
 from __future__ import annotations
 
-import warnings
+import json
 
 import pytest
 
 from repro.analysis.experiments import ScenarioSpec, structured_scenarios
-from repro.analysis.runner import load_sweep_jsonl, plan_sweep, run_sweep
+from repro.analysis.runner import plan_sweep, run_sweep
 from repro.api import (
     BroadcastRequest,
     ConformanceRequest,
@@ -26,7 +26,6 @@ from repro.api import (
     Session,
 )
 from repro.cli import main
-from repro.deprecation import reset_warnings
 from repro.provenance import (
     ResultLog,
     diff_logs,
@@ -172,54 +171,15 @@ def test_resume_reexecutes_hash_tampered_shards_and_reproduces_the_table(tmp_pat
 
 
 # --------------------------------------------------------------------------- #
-# Deprecated raw-JSONL shims: warn once, read the same stream
+# Raw records outside the hash chain
 # --------------------------------------------------------------------------- #
 
 
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    reset_warnings()
-    yield
-    reset_warnings()
-
-
-def test_load_sweep_jsonl_warns_once_and_parses_the_result_log(tmp_path):
-    out = str(tmp_path / "legacy.log")
-    run_sweep(_small_plan(), workers=1, out_path=out)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        header, shards = load_sweep_jsonl(out)
-        load_sweep_jsonl(out)  # second call must stay silent
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "read_log" in str(deprecations[0].message)
-
-    # The raw view and the hash-validated view describe the same stream.
-    records, issues = read_log(out)
-    assert issues == []
-    assert header["fingerprint"] == records[0]["fingerprint"]
-    assert sorted(shards) == [
-        record["index"] for record in records if record["kind"] == "shard"
-    ]
-    for record in records:
-        if record["kind"] == "shard":
-            assert shards[record["index"]]["rows"] == record["rows"]
-
-
-def test_write_sweep_record_warns_and_its_records_fail_verification(tmp_path):
-    from repro.analysis.runner import write_sweep_record
-
-    out = str(tmp_path / "raw.log")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with open(out, "w", encoding="utf-8") as handle:
-            write_sweep_record(handle, {"kind": "shard", "index": 0, "rows": []})
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "ResultLog" in str(deprecations[0].message)
+def test_unsealed_records_are_tolerated_as_missing(tmp_path):
+    out = tmp_path / "raw.log"
+    out.write_text(json.dumps({"kind": "shard", "index": 0, "rows": []}) + "\n")
     # Unsealed records carry no record_hash: tolerated as missing, not data.
-    records, issues = read_log(out)
+    records, issues = read_log(str(out))
     assert records == [] and len(issues) == 1
 
 

@@ -14,17 +14,11 @@ from repro.walks.cover_time import (
     spectral_mixing_time_bound,
     stationary_distribution,
 )
-from repro.graphs.properties import HAVE_NUMPY
 from repro.walks.random_walk import (
     RandomWalk,
     random_walk_cover_steps,
     random_walk_hitting_steps,
     random_walk_trajectory,
-)
-
-#: The spectral bounds need NumPy; the walk substrate itself does not.
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="NumPy unavailable: spectral helpers cannot run"
 )
 
 
@@ -128,18 +122,15 @@ def test_lovasz_bound_trivial_cases():
     assert lovasz_cover_time_upper_bound(generators.path_graph(1)) == 0.0
 
 
-@needs_numpy
 def test_spectral_mixing_bound_finite_for_connected_nonbipartite():
     graph = generators.petersen_graph()
     assert spectral_mixing_time_bound(graph) < float("inf")
 
 
-@needs_numpy
 def test_spectral_mixing_bound_infinite_for_disconnected(two_components):
     assert spectral_mixing_time_bound(two_components) == float("inf")
 
 
-@needs_numpy
 def test_stationary_distribution_proportional_to_degree():
     graph = generators.star_graph(4)
     pi = stationary_distribution(graph)
@@ -149,7 +140,6 @@ def test_stationary_distribution_proportional_to_degree():
     assert pi.sum() == pytest.approx(1.0)
 
 
-@needs_numpy
 def test_stationary_distribution_rejects_edgeless_graph():
     graph = LabeledGraph.from_edges([], vertices=[0, 1])
     with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from repro.analysis.experiments import (
     ScenarioSpec,
     dynamic_schedule_scenarios,
     reference_run_parameter_sweep,
-    run_parameter_sweep,
     structured_scenarios,
     unit_disk_scenarios,
 )
@@ -25,13 +24,13 @@ from repro.analysis.runner import (
     SCHEDULE_ROUTER,
     SWEEP_HEADERS,
     evaluate_shard,
+    map_scenario_rows,
     parallel_map,
     plan_sweep,
     run_sweep,
     shard_seed,
 )
 from repro.core.engine import clear_prepared_caches, prepare, prepared_cache_info
-from repro.deprecation import reset_warnings
 from repro.errors import ExperimentError
 from repro.graphs import generators
 
@@ -297,7 +296,7 @@ def test_without_resume_an_existing_file_is_overwritten(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# run_parameter_sweep wiring
+# Parallel scenario-row fan-out
 # --------------------------------------------------------------------------- #
 
 
@@ -306,24 +305,14 @@ def _count_edges_evaluate(spec: ScenarioSpec, network):
     yield [spec.name, network.num_nodes, len(list(network.graph.edges()))]
 
 
-def test_run_parameter_sweep_parallel_matches_reference():
-    # run_parameter_sweep is a deprecation shim, exercised here on purpose to
-    # check its workers= wiring; its warn-once DeprecationWarning is asserted
-    # so it cannot leak into the suite (filterwarnings = error).
-    reset_warnings()
+def test_map_scenario_rows_parallel_matches_reference():
     scenarios = structured_scenarios("ring", [5, 7]) + structured_scenarios("grid", [9])
-    headers = ["name", "nodes", "edges"]
     reference = reference_run_parameter_sweep(
-        "demo", headers, scenarios, _count_edges_evaluate
+        "demo", ["name", "nodes", "edges"], scenarios, _count_edges_evaluate
     )
-    with pytest.warns(DeprecationWarning, match="SweepRequest"):
-        serial = run_parameter_sweep("demo", headers, scenarios, _count_edges_evaluate)
-    parallel = run_parameter_sweep(
-        "demo", headers, scenarios, _count_edges_evaluate, workers=2
-    )
-    assert serial.rows == reference.rows
-    assert parallel.rows == reference.rows
-    assert parallel.headers == reference.headers
+    for workers in (1, 2):
+        grouped = map_scenario_rows(_count_edges_evaluate, scenarios, workers)
+        assert [row for rows in grouped for row in rows] == reference.rows
 
 
 # --------------------------------------------------------------------------- #
