@@ -56,8 +56,6 @@ import hashlib
 import json
 import os
 from collections import Counter, OrderedDict
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -720,6 +718,8 @@ def run_sweep(
                 groups.append(tuple(pending[cursor : cursor + size]))
                 cursor += size
             shard_of = {shard.index: shard for shard in pending}
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             with ProcessPoolExecutor(
                 max_workers=group_count, initializer=_worker_init
             ) as pool:
@@ -773,6 +773,11 @@ def parallel_map(
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here, where a pool opens: the process-pool machinery pulls in
+    # multiprocessing, which a process that never forks should not load.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     completed: Dict[int, _R] = {}
     try:
         with ProcessPoolExecutor(

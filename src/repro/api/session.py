@@ -160,16 +160,18 @@ class Session:
         """Number of tasks this session has executed."""
         return self._submitted
 
-    def cache_info(self) -> Dict[str, int]:
+    def cache_info(self) -> Dict[str, float]:
         """Session-scoped *and* process-wide cache statistics, one flat dict.
 
         Session keys (``session_*``) count this session's scenario cache;
         the remaining keys are :func:`repro.core.engine.prepared_cache_info`
-        for the current process (shared engines, schedules, offset buffers and
-        their hit/miss counters).  Worker processes keep their own caches, so
-        pooled tasks contribute only their parent-side shares here.
+        for the current process (shared engines, schedules, offset buffers,
+        their hit/miss counters, and ``offsets_generated`` /
+        ``offset_generation_s`` for what the offset misses cost).  Worker
+        processes keep their own caches, so pooled tasks contribute only
+        their parent-side shares here.
         """
-        info: Dict[str, int] = dict(prepared_cache_info())
+        info: Dict[str, float] = dict(prepared_cache_info())
         info.update(self._store.info())
         info["session_tasks"] = self._submitted
         return info

@@ -71,6 +71,8 @@ exposes the cache sizes and hit counters for diagnostics.
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -112,6 +114,11 @@ __all__ = [
 #: Per-engine bound on cached (provider, bound) offset buffers; CountNodes'
 #: doubling loop needs ~log2(n) live bounds per provider, so 32 is generous.
 _OFFSETS_CACHE_LIMIT = 32
+
+#: What ``offsets_for`` misses cost in this process: offsets fetched from
+#: providers and the seconds spent fetching them (``prepared_cache_info``).
+_GENERATION: Dict[str, float] = {"offsets_generated": 0, "offset_generation_s": 0.0}
+_GENERATION_LOCK = threading.Lock()
 
 #: Automatic ``route_many`` dispatch: the lockstep kernel pays a fixed NumPy
 #: per-step overhead, so it wins only when the scalar work it replaces is
@@ -244,10 +251,15 @@ class PreparedNetwork:
         entry = self._offsets_cache.get(key)
         if entry is not None:
             return entry[1]
+        started = time.perf_counter()
         sequence = provider.sequence_for(bound)
         if not isinstance(sequence, ExplicitSequence):
             sequence = ExplicitSequence(sequence[i] for i in range(len(sequence)))
         offsets = sequence.offsets()
+        elapsed = time.perf_counter() - started
+        with _GENERATION_LOCK:
+            _GENERATION["offsets_generated"] += len(offsets)
+            _GENERATION["offset_generation_s"] += elapsed
         self._offsets_cache.put(key, (provider, offsets))
         return offsets
 
@@ -1225,17 +1237,19 @@ def route_many_multi(
 # ---------------------------------------------------------------------- #
 
 
-def prepared_cache_info() -> Dict[str, int]:
+def prepared_cache_info() -> Dict[str, float]:
     """Sizes and hit/miss counters of the shared caches, for this process.
 
     Every process (the main one and each sweep worker) has its own caches, so
     the numbers describe local behaviour only; the sweep runner can surface
     them to verify that rotation-identical graphs really compiled once per
     process.  ``offset_entries`` totals the per-engine ``(provider, bound)``
-    offset-buffer caches, so a session can see sequence materialisation cost
-    too; :meth:`repro.api.Session.cache_info` merges these numbers with the
-    session-scoped scenario-cache counters (the ``repro sweep`` summary line
-    prints that merged view).
+    offset-buffer caches, and every miss adds the offsets it fetched from
+    the provider to ``offsets_generated`` and the time the fetch took to
+    ``offset_generation_s``, so a session can see sequence materialisation
+    cost too; :meth:`repro.api.Session.cache_info` merges these numbers with
+    the session-scoped scenario-cache counters (the ``repro sweep`` summary
+    line prints that merged view).
 
     The kernel store contributes its full tier picture: memory-LRU
     hit/miss/eviction counters for engines and schedules, ``kernel_compiles``
@@ -1259,6 +1273,8 @@ def prepared_cache_info() -> Dict[str, int]:
     info["offset_evictions"] = sum(
         engine._offsets_cache.evictions for engine in store.engines.values()
     )
+    with _GENERATION_LOCK:
+        info.update(_GENERATION)
     info.update(batch_cache_info())
     return info
 
@@ -1282,6 +1298,9 @@ def clear_prepared_caches() -> None:
 
     kernel_store().clear()
     clear_batch_caches()
+    with _GENERATION_LOCK:
+        _GENERATION["offsets_generated"] = 0
+        _GENERATION["offset_generation_s"] = 0.0
     shared_provider = default_provider()
     clear = getattr(shared_provider, "clear_cache", None)
     if callable(clear):

@@ -34,6 +34,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import GraphStructureError, UniversalityCertificationError
 from repro.core.exploration import ExplicitSequence, ExplorationSequence, covers_component
 from repro.graphs.connectivity import is_connected
@@ -51,6 +53,7 @@ __all__ = [
     "standard_certification_family",
     "exhaustive_cubic_graphs",
     "default_sequence_length",
+    "randrange3_bytes",
 ]
 
 
@@ -67,6 +70,81 @@ def default_sequence_length(n: int, factor: int = 6) -> int:
     """
     n = max(1, n)
     return max(32, factor * n * n * max(1, n.bit_length()))
+
+
+# CPython's MT19937 (Modules/_randommodule.c): state of _MT_N words, twist
+# offset _MT_M.  A new word depends on the word _MT_LAG places back, so one
+# vector operation can produce at most _MT_LAG words of the xor chain, and
+# on the words 624 and 623 places back, so one twist can span _MT_N - 1.
+_MT_N = 624
+_MT_M = 397
+_MT_LAG = _MT_N - _MT_M
+_MT_STAGE = _MT_N - 1
+_MT_BLOCK = 24 * _MT_STAGE
+_MT_UPPER = np.uint32(0x80000000)
+_MT_LOWER = np.uint32(0x7FFFFFFF)
+_MT_MATRIX_A = np.uint32(0x9908B0DF)
+_MT_TEMPER_B = np.uint32(0x9D2C5680)
+_MT_TEMPER_C = np.uint32(0xEFC60000)
+
+
+def randrange3_bytes(rng: random.Random, length: int) -> bytes:
+    """The next ``length`` values of ``rng.randrange(3)``, one byte each.
+
+    Bit-identical to ``bytes(rng.randrange(3) for _ in range(length))``
+    (``rng`` itself is not advanced) but computed in NumPy: CPython draws
+    ``randrange(3)`` as ``genrand_uint32() >> 30``, redrawn while it equals
+    3, so this continues the generator's 624-word state with the MT19937
+    recurrence ``w[k+624] = w[k+397] ^ twist(w[k], w[k+1])`` one rolling
+    block at a time, tempers each block, keeps its top two bits and deletes
+    the 3s.  ``numpy.random`` is deliberately not used: importing it costs
+    about 2 MiB of resident memory in every process.
+    """
+    _, internal, _ = rng.getstate()
+    out = np.empty(length, dtype=np.uint8)
+    words = np.empty(_MT_N + _MT_BLOCK, dtype=np.uint32)
+    words[:_MT_N] = internal[:_MT_N]
+    filled = _emit_below3(words[internal[_MT_N]:_MT_N], out, 0)
+    twist = np.empty(_MT_STAGE, dtype=np.uint32)
+    part = np.empty(_MT_STAGE, dtype=np.uint32)
+    chain = [(j, min(j + _MT_LAG, _MT_STAGE)) for j in range(0, _MT_STAGE, _MT_LAG)]
+    while filled < length:
+        for k in range(0, _MT_BLOCK, _MT_STAGE):
+            following = words[k + 1:k + 1 + _MT_STAGE]
+            np.bitwise_and(words[k:k + _MT_STAGE], _MT_UPPER, out=twist)
+            np.bitwise_and(following, _MT_LOWER, out=part)
+            twist |= part
+            twist >>= 1
+            np.bitwise_and(following, 1, out=part)
+            part *= _MT_MATRIX_A
+            twist ^= part
+            for start, stop in chain:
+                np.bitwise_xor(
+                    twist[start:stop],
+                    words[k + _MT_M + start:k + _MT_M + stop],
+                    out=words[k + _MT_N + start:k + _MT_N + stop],
+                )
+        filled = _emit_below3(words[_MT_N:], out, filled)
+        words[:_MT_N] = words[_MT_BLOCK:]
+    return out.tobytes()
+
+
+def _emit_below3(block: np.ndarray, out: np.ndarray, filled: int) -> int:
+    """Temper ``block``, append its ``x >> 30`` draws below 3 to ``out``."""
+    value = block >> 11
+    value ^= block
+    mixed = value << 7
+    mixed &= _MT_TEMPER_B
+    value ^= mixed
+    np.left_shift(value, 15, out=mixed)
+    mixed &= _MT_TEMPER_C
+    value ^= mixed
+    # The last tempering step, value ^= value >> 18, leaves the top two bits alone.
+    value >>= 30
+    kept = value.astype(np.uint8).tobytes().translate(None, b"\x03")
+    take = min(len(kept), len(out) - filled)
+    out[filled:filled + take] = np.frombuffer(kept, dtype=np.uint8, count=take)
+    return filled + take
 
 
 class SequenceProvider(ABC):
@@ -126,8 +204,8 @@ class RandomSequenceProvider(SequenceProvider):
     def sequence_for(self, n: int) -> ExplicitSequence:
         if n not in self._cache:
             length = self._length_fn(n) * self._length_multiplier
-            randrange = random.Random(f"{self._seed}:{n}:{self._length_multiplier}").randrange
-            self._cache[n] = ExplicitSequence(bytes(randrange(3) for _ in range(length)))
+            rng = random.Random(f"{self._seed}:{n}:{self._length_multiplier}")
+            self._cache[n] = ExplicitSequence(randrange3_bytes(rng, length))
         return self._cache[n]
 
     def clear_cache(self) -> None:

@@ -167,8 +167,8 @@ class ExpanderSequenceProvider(SequenceProvider):
         """Return a provider identical to this one but with a longer budget."""
         return ExpanderSequenceProvider(self._base, length_multiplier=multiplier)
 
-    def _offsets(self, length: int, stride: int) -> List[int]:
-        offsets: List[int] = []
+    def _offsets(self, length: int, stride: int) -> bytes:
+        offsets = bytearray()
         vertex = 0
         entry = 0
         counter = stride
@@ -180,7 +180,7 @@ class ExpanderSequenceProvider(SequenceProvider):
             vertex, entry = self._base.rotation(vertex, port)
             offsets.append((vertex + entry) % 3)
             counter = (counter * 2862933555777941757 + 3037000493) % (2 ** 63)
-        return offsets
+        return bytes(offsets)
 
     def sequence_for(self, n: int) -> ExplicitSequence:
         if n not in self._cache:

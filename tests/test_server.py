@@ -164,6 +164,8 @@ def test_healthz_and_metrics_shapes():
             assert metrics["queue"]["capacity"] == 64
             assert "kernel_compiles" in metrics["cache"]
             assert "session_tasks" in metrics["cache"]
+            assert "offsets_generated" in metrics["cache"]
+            assert "offset_generation_s" in metrics["cache"]
 
     asyncio.run(scenario())
 
