@@ -21,6 +21,12 @@ It asserts that both produce identical results (outcome, steps, switches,
 soundness) and, outside smoke mode, that the engine is at least 5x faster on
 the batch — the ISSUE 2 acceptance bar.
 
+A second comparison routes one 288-pair batch over a 4-snapshot relabel
+schedule of a 36-vertex torus (a switch every 64 ticks) through the lockstep
+stepper (``route_many(lockstep=True)``) and the scalar loop
+(``reference_route_many``).  It asserts equal results and, outside smoke
+mode, that the lockstep stepper is not slower.
+
 Run standalone (CI smoke mode) with::
 
     PYTHONPATH=src SCHEDULE_BENCH_SMOKE=1 python benchmarks/bench_schedule.py
@@ -35,6 +41,7 @@ import time
 from typing import List, Tuple
 
 from bench_utils import PROVIDER, emit_table, prepared
+from repro.analysis.experiments import ScenarioSpec, build_schedule
 from repro.core.exploration import WalkState, step_backward, step_forward
 from repro.graphs import generators
 from repro.graphs.connectivity import connected_component
@@ -58,6 +65,18 @@ NUM_PAIRS = 5 if SMOKE else 20
 NUM_SNAPSHOTS = 4
 SWITCH_EVERY = 7
 MIN_SPEEDUP = 5.0
+
+#: Lockstep-vs-scalar batch: the relabel torus-36 schedule batch of the
+#: end-to-end ``batch`` workload, timed as the median of a few rounds.
+LOCKSTEP_SPEC = ScenarioSpec(
+    name="relabel-torus36",
+    family="torus",
+    size=36,
+    seed=1,
+    extra=(("mutation", "relabel"), ("snapshots", 4), ("switch_every", 64)),
+)
+LOCKSTEP_PAIRS = 288
+LOCKSTEP_ROUNDS = 5
 
 
 def _pre_pr_route_over_schedule(
@@ -203,6 +222,79 @@ def run_schedule_benchmark() -> dict:
     }
 
 
+def _median_seconds(call) -> float:
+    timings = []
+    for _ in range(LOCKSTEP_ROUNDS):
+        started = time.perf_counter()
+        call()
+        timings.append(time.perf_counter() - started)
+    return sorted(timings)[len(timings) // 2]
+
+
+def run_lockstep_comparison() -> dict:
+    """Time one schedule batch on the lockstep stepper and the scalar loop."""
+    schedule = build_schedule(LOCKSTEP_SPEC)
+    engine = prepare_schedule(schedule)
+    vertices = list(schedule.snapshots[0].vertices)
+    rng = random.Random(3)
+    pairs = [
+        (rng.choice(vertices), rng.choice(vertices)) for _ in range(LOCKSTEP_PAIRS)
+    ]
+    lockstep = engine.route_many(pairs, provider=PROVIDER, lockstep=True)
+    scalar = engine.reference_route_many(pairs, provider=PROVIDER)
+    lockstep_elapsed = _median_seconds(
+        lambda: engine.route_many(pairs, provider=PROVIDER, lockstep=True)
+    )
+    scalar_elapsed = _median_seconds(
+        lambda: engine.reference_route_many(pairs, provider=PROVIDER)
+    )
+    return {
+        "equal": lockstep == scalar,
+        "lockstep_elapsed": lockstep_elapsed,
+        "scalar_elapsed": scalar_elapsed,
+        "ratio": lockstep_elapsed / scalar_elapsed,
+    }
+
+
+def _check_lockstep(comparison: dict) -> List[str]:
+    problems = []
+    if not comparison["equal"]:
+        problems.append("lockstep schedule batch differs from the scalar loop")
+    if not SMOKE and comparison["ratio"] > 1.0:
+        problems.append(
+            f"lockstep schedule batch slower than scalar "
+            f"({comparison['ratio']:.2f}x of its time)"
+        )
+    return problems
+
+
+def _emit_lockstep(comparison: dict) -> None:
+    rows = [
+        [
+            "reference_route_many (scalar loop)",
+            LOCKSTEP_PAIRS,
+            f"{comparison['scalar_elapsed'] * 1000:.1f}",
+            "1.00",
+        ],
+        [
+            "route_many(lockstep=True)",
+            LOCKSTEP_PAIRS,
+            f"{comparison['lockstep_elapsed'] * 1000:.1f}",
+            f"{comparison['ratio']:.2f}",
+        ],
+    ]
+    emit_table(
+        "E_schedule_lockstep_vs_scalar",
+        f"E-SCHEDULE — {LOCKSTEP_PAIRS}-pair batch over a 4-snapshot relabel "
+        "torus-36 schedule, switch every 64 ticks "
+        f"({'smoke' if SMOKE else 'full'} mode)",
+        ["path", "routes", "median ms", "time / scalar"],
+        rows,
+        notes="Identical results on every pair; median of "
+        f"{LOCKSTEP_ROUNDS} warm rounds per path.",
+    )
+
+
 def _emit(report: dict) -> None:
     pairs = report["pairs"]
     rows = [
@@ -245,6 +337,9 @@ def test_schedule_batch_speedup(benchmark):
         assert report["speedup"] >= MIN_SPEEDUP, (
             f"expected >= {MIN_SPEEDUP}x, measured {report['speedup']:.1f}x"
         )
+    comparison = run_lockstep_comparison()
+    _emit_lockstep(comparison)
+    assert not _check_lockstep(comparison), _check_lockstep(comparison)
     schedule, pairs = report["schedule"], report["pairs"]
     engine = prepare_schedule(schedule)
     benchmark.pedantic(
@@ -265,7 +360,17 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    print(f"ok: speedup {report['speedup']:.1f}x, no mismatches")
+    comparison = run_lockstep_comparison()
+    _emit_lockstep(comparison)
+    problems = _check_lockstep(comparison)
+    if problems:
+        for problem in problems:
+            print(f"FAIL: {problem}", file=sys.stderr)
+        return 1
+    print(
+        f"ok: speedup {report['speedup']:.1f}x, no mismatches; lockstep "
+        f"schedule batch at {comparison['ratio']:.2f}x of scalar time"
+    )
     return 0
 
 

@@ -166,8 +166,10 @@ class Session:
         Session keys (``session_*``) count this session's scenario cache;
         the remaining keys are :func:`repro.core.engine.prepared_cache_info`
         for the current process (shared engines, schedules, offset buffers,
-        their hit/miss counters, and ``offsets_generated`` /
-        ``offset_generation_s`` for what the offset misses cost).  Worker
+        their hit/miss counters, ``offsets_generated`` /
+        ``offset_generation_s`` for what the offset misses cost, and the
+        ``lockstep_batches`` / ``scalar_batches`` /
+        ``lockstep_spilled_pairs`` dispatch counters).  Worker
         processes keep their own caches, so pooled tasks contribute only
         their parent-side shares here.
         """

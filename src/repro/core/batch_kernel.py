@@ -27,13 +27,22 @@ Three steppers are provided:
     :meth:`repro.core.engine.PreparedNetwork.route`.
 
 :class:`ScheduleBatchedWalk` (dynamic-topology extension)
-    Literal lockstep state vectors ``(vertex, entry_port, phase)`` with
-    per-walk active/terminated masks: all walks share one global clock (the
-    schedule's switch times are global), forward walks advance with a shared
-    sequence index, backward walks carry per-walk indices, and snapshot
-    switch-overs translate every in-flight walk between kernels through a
-    precomputed translation table (:func:`translation_table`).  Semantics are
-    tick-for-tick those of :meth:`repro.core.engine.PreparedSchedule.route`.
+    All walks share one global clock, and the schedule's switch times are
+    global.  A live walk reads offset ``t`` on forward tick ``t < L``, flips
+    at tick ``L`` without a step, and reads offset ``2L - t`` on backward
+    tick ``t`` (it retraces its steps, Section 2 of the paper).  So every
+    walk reads the same offset on the same tick, and walks from one source
+    share their state until they stop: pairs merge into one *front* per
+    distinct source, and a tick is one gather over the fronts — through
+    ``step[o]`` going forward and the fused backward tables
+    ``back_step[o]`` going back.  Chunks of ticks end at every real
+    snapshot switch and at tick ``L``; at a switch the live fronts are
+    translated between kernels through :func:`translation_table`, and a
+    front whose owner changed degree strands with all its pairs.  After
+    each chunk, vectorised reductions find each pair's delivery (first row
+    whose owner is its target) and each backward front's report (first row
+    back at its source, or tick ``2L + 1``).  Results are those of
+    :meth:`repro.core.engine.PreparedSchedule.route`, decision for decision.
 
 :class:`MultiGraphWalk` (static networks, several graphs at once)
     The per-graph transition tables of several :class:`BatchedWalk` steppers
@@ -59,6 +68,7 @@ them as an array uses :func:`np_offsets_for`, a zero-copy ``int8`` view.
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -91,6 +101,14 @@ __all__ = [
 _CHUNK_ROWS_MIN = 64
 _CHUNK_ROWS_MAX = 4096
 
+#: Row cap of a :class:`ScheduleBatchedWalk` chunk.  Its fronts stop
+#: stepping only at chunk ends, so a larger cap walks further past the last
+#: delivery (the shared 4096 cap overran it by about 1,800 ticks).
+_SCHEDULE_CHUNK_ROWS_MAX = 512
+
+#: Comparand of a target no ``int32`` owner id can equal.
+_NO_OWNER = 1 << 40
+
 #: Cap on buffered trajectory elements per batch (int32 each).  A batch whose
 #: walks out-run the cap — pathologically long failure walks under a huge
 #: size bound — hands its unresolved pairs back to the scalar kernel instead
@@ -101,11 +119,11 @@ _MAX_BUFFER_ELEMENTS = 1 << 26
 _BATCH_CACHE_LIMIT = 64
 
 #: Outcome codes of :class:`ScheduleBatchedWalk` (mirroring DynamicOutcome,
-#: which lives above this module in the layer order).
+#: which lives above this module in the layer order).  The tick budget never
+#: runs out: a backward walk reports at tick ``2L + 1`` at the latest.
 SCHEDULE_DELIVERED = 0
 SCHEDULE_REPORTED_FAILURE = 1
 SCHEDULE_STRANDED_DEGREE = 2
-SCHEDULE_STRANDED_BUDGET = 3
 
 
 @dataclass(frozen=True)
@@ -175,19 +193,10 @@ class BatchedWalk:
     ``e = 3 * v + (p + o) % 3`` — one gather advances every walk by one step.
 
     ``owner_state`` maps a walk state to the original vertex its virtual
-    vertex simulates; ``back_v3`` / ``back_port`` are the backward-step
-    tables used by the schedule stepper (a backward step leaves through the
-    entry edge, which *is* the state index).
+    vertex simulates.
     """
 
-    __slots__ = (
-        "kernel",
-        "step",
-        "owner_state",
-        "back_v3",
-        "back_port",
-        "num_states",
-    )
+    __slots__ = ("kernel", "step", "owner_state", "num_states")
 
     def __init__(self, kernel: CompiledWalk) -> None:
         self.kernel = kernel
@@ -207,8 +216,6 @@ class BatchedWalk:
             )
         self.step = fused
         self.owner_state = _np.repeat(owner, 3).astype(_np.int32)
-        self.back_v3 = (3 * next_vertex).astype(_np.int32)
-        self.back_port = next_port.astype(_np.int32)
 
     # ------------------------------------------------------------------ #
     # Static batch routing
@@ -338,12 +345,14 @@ class BatchedWalk:
 class ScheduleBatchedWalk:
     """Lockstep stepper for routing one pair batch over a topology schedule.
 
-    All walks share one global clock: snapshot switch-overs apply to every
-    in-flight walk at the same tick, forward walks advance with the shared
-    sequence index (a walk is forward exactly while ``steps == time``), and
-    backward walks gather their per-walk ``offsets[steps - 1]``.  Stranding,
-    failure reporting and the tick budget reproduce
-    :meth:`repro.core.engine.PreparedSchedule.route` decision for decision.
+    Every walk reads offset ``t`` on forward tick ``t < L`` and, after the
+    flip at tick ``L``, offset ``2L - t`` on backward tick ``t``; switch-overs
+    hit every walk at the same tick.  So all walks from one source share
+    their state until they stop, and the stepper advances one front per
+    distinct source with one gather per tick, in chunks that never cross a
+    real switch tick or tick ``L``.  Stranding, failure reporting and step
+    counts reproduce :meth:`repro.core.engine.PreparedSchedule.route`
+    decision for decision.
     """
 
     def __init__(
@@ -354,24 +363,49 @@ class ScheduleBatchedWalk:
         gateway_of: Dict[int, int],
     ) -> None:
         self._steppers = list(steppers)
-        self._snapshots = list(snapshots)
-        self._switch_times = list(switch_times)
+        #: (tick, snapshot index) of every real switch: one where the
+        #: snapshot object changes (re-activating the same object is not a
+        #: switch, as in the scalar walk).
+        self._switches = [
+            (switch_times[index], index)
+            for index in range(1, len(snapshots))
+            if snapshots[index] is not snapshots[index - 1]
+        ]
         #: Gateway map of the *first* kernel only: every walk starts on
         #: snapshot 0, and post-switch placement goes through the translation
         #: tables, never through a later kernel's gateways.
         self._gateway_of = dict(gateway_of)
-        #: index -> translation array (or None when the snapshot object does
-        #: not change); built lazily, once per real switch.
-        self._translations: Dict[int, Optional["_np.ndarray"]] = {}
+        #: index -> translation array; built lazily, once per real switch.
+        self._translations: Dict[int, "_np.ndarray"] = {}
+        #: id(stepper) -> backward transition tables, built on first use.
+        self._back_steps: Dict[int, List["_np.ndarray"]] = {}
 
-    def _translation_into(self, index: int) -> Optional["_np.ndarray"]:
+    def _translation_into(self, index: int) -> "_np.ndarray":
         table = self._translations.get(index)
-        if table is None and index not in self._translations:
+        if table is None:
             table = translation_table(
                 self._steppers[index - 1].kernel, self._steppers[index].kernel
             )
             self._translations[index] = table
         return table
+
+    def _back_step(self, stepper: BatchedWalk) -> List["_np.ndarray"]:
+        """``back_step[o][s]``: the state before a forward step with offset ``o``.
+
+        A backward step leaves through the entry edge, which *is* the state
+        index: ``3 * next_vertex[s] + (next_port[s] - o) % 3``.
+        """
+        tables = self._back_steps.get(id(stepper))
+        if tables is None:
+            kernel = stepper.kernel
+            back_v3 = 3 * _np.asarray(kernel.next_vertex, dtype=_np.int32)
+            back_port = _np.asarray(kernel.next_port, dtype=_np.int32)
+            tables = [
+                (back_v3 + (back_port - offset) % 3).astype(_np.int32)
+                for offset in range(3)
+            ]
+            self._back_steps[id(stepper)] = tables
+        return tables
 
     def run(
         self,
@@ -381,112 +415,141 @@ class ScheduleBatchedWalk:
     ) -> List[ScheduleWalkAccount]:
         """Route every pair over the schedule in lockstep; return accounts."""
         length = len(offsets)
-        np_offsets = np_offsets_for(offsets)
+        last_tick = 2 * length + 1  # a backward walk reports here at the latest
         count = len(sources)
-        steppers = self._steppers
-        snapshots = self._snapshots
-        switch_times = self._switch_times
-        num_snapshots = len(snapshots)
-
-        source_arr = _np.asarray(sources, dtype=_np.int32)
-        target_arr = _np.asarray(targets, dtype=_np.int32)
-        gateway_of = self._gateway_of
-        state = _np.array(
-            [3 * gateway_of[source] for source in sources], dtype=_np.int32
-        )
+        code = _np.full(count, -1, dtype=_np.int8)
         steps = _np.zeros(count, dtype=_np.int64)
         switches = _np.zeros(count, dtype=_np.int64)
-        forward = _np.ones(count, dtype=bool)
-        status_failure = _np.zeros(count, dtype=bool)
-        done = _np.zeros(count, dtype=bool)
-        code = _np.full(count, -1, dtype=_np.int8)
         stranded_owner = _np.full(count, -1, dtype=_np.int64)
-        current_owner = source_arr.copy()
+        status_failure = _np.zeros(count, dtype=bool)
 
-        active_index = 0
-        active_graph = snapshots[0]
-        stepper = steppers[0]
+        # One front per distinct source (its state and source id); every
+        # open pair holds its front's column and its target.
+        column_of: Dict[int, int] = {}
+        for source in sources:
+            column_of.setdefault(source, len(column_of))
+        front_source = _np.fromiter(column_of, dtype=_np.int64, count=len(column_of))
+        state = _np.array(
+            [3 * self._gateway_of[source] for source in column_of], dtype=_np.int32
+        )
+        open_index = _np.arange(count)
+        open_front = _np.array(
+            [column_of[source] for source in sources], dtype=_np.int64
+        )
+        open_target = _np.array(
+            [_owner_key(target) for target in targets], dtype=_np.int64
+        )
 
-        for time in range(2 * length + 2):
-            # Activate every snapshot whose switch time has passed; a switch
-            # to a different graph object translates every in-flight walk.
+        def finish(ended, outcome, ticks) -> None:
+            """Close the open pairs in mask ``ended`` at ``ticks``."""
+            nonlocal open_index, open_front, open_target, state, front_source
+            closed = open_index[ended]
+            code[closed] = outcome
+            steps[closed] = _np.where(ticks <= length, ticks, last_tick - ticks)
+            switches[closed] = applied
+            status_failure[closed] = ticks > length
+            kept = ~ended
+            live = _np.zeros(state.size, dtype=bool)
+            live[open_front[kept]] = True
+            column = _np.cumsum(live) - 1
+            open_index = open_index[kept]
+            open_front = column[open_front[kept]]
+            open_target = open_target[kept]
+            state = state[live]
+            front_source = front_source[live]
+
+        real_switches = self._switches
+        next_switch = 0
+        applied = 0
+        stepper = self._steppers[0]
+        tick = 0
+        chunk_rows = _CHUNK_ROWS_MIN
+        while open_index.size:
             while (
-                active_index + 1 < num_snapshots
-                and time >= switch_times[active_index + 1]
+                next_switch < len(real_switches)
+                and real_switches[next_switch][0] == tick
             ):
-                active_index += 1
-                new_graph = snapshots[active_index]
-                if new_graph is active_graph:
-                    continue
-                live_indices = _np.nonzero(~done)[0]
-                switches[live_indices] += 1
-                table = self._translation_into(active_index)
-                live_states = state[live_indices]
-                translated = table[live_states // 3]
-                stranded_local = translated < 0
-                if stranded_local.any():
-                    stranded_indices = live_indices[stranded_local]
-                    code[stranded_indices] = SCHEDULE_STRANDED_DEGREE
-                    stranded_owner[stranded_indices] = current_owner[stranded_indices]
-                    done[stranded_indices] = True
-                surviving = ~stranded_local
-                surviving_indices = live_indices[surviving]
-                state[surviving_indices] = (
-                    3 * translated[surviving] + live_states[surviving] % 3
-                )
-                active_graph = new_graph
-                stepper = steppers[active_index]
-
-            if done.all():
+                index = real_switches[next_switch][1]
+                next_switch += 1
+                applied += 1
+                translated = self._translation_into(index)[state // 3]
+                stranded = translated < 0
+                if stranded.any():
+                    ended = stranded[open_front]
+                    stranded_owner[open_index[ended]] = stepper.owner_state[
+                        state[open_front[ended]]
+                    ]
+                    finish(ended, SCHEDULE_STRANDED_DEGREE, tick)
+                    translated = translated[~stranded]
+                state = 3 * translated + state % 3
+                stepper = self._steppers[index]
+            if not open_index.size:
                 break
 
-            in_flight = ~done
-            fwd = in_flight & forward
-            delivered = fwd & (current_owner == target_arr)
-            if delivered.any():
-                code[delivered] = SCHEDULE_DELIVERED
-                done |= delivered
-                fwd &= ~delivered
-            flipped = fwd & (steps >= length)
-            if flipped.any():
-                forward[flipped] = False
-                status_failure[flipped] = True
-                fwd &= ~flipped  # the flip consumes this tick without a step
-            if fwd.any():
-                # Forward walks stepped on every previous tick, so they all
-                # sit at the shared index ``time`` (< length here).
-                state[fwd] = stepper.step[offsets[time]][state[fwd]]
-                steps[fwd] += 1
-                current_owner[fwd] = stepper.owner_state[state[fwd]]
+            # Advance to the next real switch or phase end, whichever is
+            # first; the phase's last tick (L, then 2L + 1) does not step.
+            forward = tick <= length
+            if tick == length + 1:
+                chunk_rows = _CHUNK_ROWS_MIN
+            phase_end = length + 1 if forward else last_tick + 1
+            stop = min(tick + chunk_rows, phase_end)
+            if next_switch < len(real_switches):
+                stop = min(stop, real_switches[next_switch][0])
+            chunk_rows = min(2 * chunk_rows, _SCHEDULE_CHUNK_ROWS_MAX)
+            rows = stop - tick
+            moves = rows - 1 if stop == phase_end else rows
+            if forward:
+                tables = stepper.step
+                window = offsets[tick : tick + moves]
+            else:
+                tables = self._back_step(stepper)
+                newest = 2 * length - tick
+                window = offsets[newest - moves + 1 : newest + 1][::-1]
+            buffer = _np.empty((moves + 1, state.size), dtype=_np.int32)
+            buffer[0] = state
+            # States are always in range; mode="raise" would buffer ``out``.
+            for offset, before, after in zip(window, buffer, buffer[1:]):
+                tables[offset].take(before, out=after, mode="clip")
+            owners = stepper.owner_state[buffer[:rows]]
+            state = buffer[moves]
 
-            bwd = in_flight & ~forward & ~flipped & ~done
-            reported = bwd & ((current_owner == source_arr) | (steps == 0))
-            if reported.any():
-                code[reported] = SCHEDULE_REPORTED_FAILURE
-                done |= reported
-                bwd &= ~reported
-            if bwd.any():
-                back_state = state[bwd]
-                back_offset = np_offsets[steps[bwd] - 1]
-                new_port = (stepper.back_port[back_state] - back_offset) % 3
-                state[bwd] = stepper.back_v3[back_state] + new_port
-                steps[bwd] -= 1
-                current_owner[bwd] = stepper.owner_state[state[bwd]]
-
-        budget = ~done
-        if budget.any():
-            code[budget] = SCHEDULE_STRANDED_BUDGET
+            if forward:
+                hits = owners[:, open_front] == open_target
+                outcome = SCHEDULE_DELIVERED
+            else:
+                hits = owners == front_source
+                if stop == phase_end:
+                    hits[-1] = True
+                outcome = SCHEDULE_REPORTED_FAILURE
+            first_hit = hits.argmax(axis=0)
+            hit = hits.any(axis=0)
+            if not forward:
+                first_hit = first_hit[open_front]
+                hit = hit[open_front]
+            if hit.any():
+                finish(hit, outcome, tick + first_hit[hit])
+            tick = stop
 
         return [
-            ScheduleWalkAccount(
-                code=int(code[i]),
-                steps_taken=int(steps[i]),
-                switches_survived=int(switches[i]),
-                stranded_owner=int(stranded_owner[i]),
-                status_failure=bool(status_failure[i]),
+            ScheduleWalkAccount(*fields)
+            for fields in zip(
+                code.tolist(),
+                steps.tolist(),
+                switches.tolist(),
+                stranded_owner.tolist(),
+                status_failure.tolist(),
             )
-            for i in range(count)
         ]
+
+
+def _owner_key(target: int) -> int:
+    """Integer ``target`` as an ``int64`` comparand for the ``int32`` owner ids.
+
+    A target outside the ``int32`` range can never be reached, so it maps to
+    :data:`_NO_OWNER` instead of overflowing.
+    """
+    value = operator.index(target)
+    return value if -(1 << 31) <= value < (1 << 31) else _NO_OWNER
 
 
 def translation_table(
@@ -498,7 +561,7 @@ def translation_table(
     virtual vertex ``v`` of ``source_kernel`` (same owner, same carried
     physical port), or ``-1`` when the owner's degree differs between the two
     reductions — the walk is stranded there.  Built once per real switch of a
-    schedule and gathered per tick for the whole batch.
+    schedule and gathered at that switch for every live walk.
     """
     count = source_kernel.num_vertices
     table = _np.empty(count, dtype=_np.int32)

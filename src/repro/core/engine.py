@@ -124,26 +124,47 @@ _GENERATION_LOCK = threading.Lock()
 #: per-step overhead, so it wins only when the scalar work it replaces is
 #: large — which scales with the batch size *and* the walk length (itself
 #: governed by the reduced-graph size).  The auto policy therefore requires
-#: both a minimum batch and a minimum ``batch x kernel-vertices`` product
-#: (calibrated by measurement: a 64-pair batch breaks even around a 12x12
-#: grid, whose kernel has ~530 virtual vertices).  The thresholds only steer
-#: the *default* — ``lockstep=True``/``False`` overrides them; results are
-#: identical on both paths.
-_LOCKSTEP_AUTO_MIN_STATIC = 32
-_LOCKSTEP_AUTO_MIN_SCHEDULE = 32
+#: both a minimum batch and a minimum ``batch x kernel-vertices`` product,
+#: one pair for static, multi-graph and schedule batches alike.  Measured
+#: break-even: a static 64-pair batch around a 12x12 grid (~530 kernel
+#: vertices); a schedule batch on a 4-snapshot relabel torus-36 (144 kernel
+#: vertices) at about 32 pairs (lockstep takes 0.85-1.13x of the scalar
+#: time there, 0.6-0.7x at 64 pairs and about 0.4x at 144).  The thresholds
+#: only steer the *default* — ``lockstep=True``/``False`` overrides them;
+#: results are identical on both paths.
+_LOCKSTEP_AUTO_MIN_PAIRS = 32
 _LOCKSTEP_AUTO_MIN_WORK = 32_768
+
+#: How batches were routed in this process (``prepared_cache_info``):
+#: batches dispatched to a lockstep kernel or to the scalar loop, and pairs
+#: a lockstep kernel handed back to the scalar kernel at its buffer cap.
+_DISPATCH: Dict[str, int] = {
+    "lockstep_batches": 0,
+    "scalar_batches": 0,
+    "lockstep_spilled_pairs": 0,
+}
+_DISPATCH_LOCK = threading.Lock()
+
+
+def _count_dispatch(key: str, amount: int = 1) -> None:
+    with _DISPATCH_LOCK:
+        _DISPATCH[key] += amount
 
 
 def _use_lockstep(
-    requested: Optional[bool], batch_size: int, minimum: int, kernel_size: int
+    requested: Optional[bool], batch_size: int, work: int
 ) -> bool:
-    """Resolve the ``lockstep`` tri-state against batch and walk size."""
+    """Resolve the ``lockstep`` tri-state against batch size and work.
+
+    ``work`` is the batch's ``pairs x kernel-vertices`` product (summed over
+    graphs for a multi-graph batch).
+    """
     if batch_size == 0:
         return False
     if requested is None:
         return (
-            batch_size >= minimum
-            and batch_size * kernel_size >= _LOCKSTEP_AUTO_MIN_WORK
+            batch_size >= _LOCKSTEP_AUTO_MIN_PAIRS
+            and work >= _LOCKSTEP_AUTO_MIN_WORK
         )
     return bool(requested)
 
@@ -411,8 +432,9 @@ class PreparedNetwork:
         """
         pairs = list(pairs)
         if _use_lockstep(
-            lockstep, len(pairs), _LOCKSTEP_AUTO_MIN_STATIC, self._kernel.num_vertices
+            lockstep, len(pairs), len(pairs) * self._kernel.num_vertices
         ):
+            _count_dispatch("lockstep_batches")
             return self._route_many_batched(
                 pairs,
                 provider=provider,
@@ -420,6 +442,7 @@ class PreparedNetwork:
                 start_port=start_port,
                 namespace_size=namespace_size,
             )
+        _count_dispatch("scalar_batches")
         return self.reference_route_many(
             pairs,
             provider=provider,
@@ -505,6 +528,7 @@ class PreparedNetwork:
                     target_found_at_step=account.target_found_at,
                     header_bits=header_bits,
                 )
+            _count_dispatch("lockstep_spilled_pairs", len(unresolved))
             for local_index in unresolved:
                 index = indices[local_index]
                 source, target = pairs[index]
@@ -939,14 +963,13 @@ class PreparedSchedule:
         """
         pairs = list(pairs)
         if _use_lockstep(
-            lockstep,
-            len(pairs),
-            _LOCKSTEP_AUTO_MIN_SCHEDULE,
-            self._kernels[0].num_vertices,
+            lockstep, len(pairs), len(pairs) * self._kernels[0].num_vertices
         ):
+            _count_dispatch("lockstep_batches")
             return self._route_many_batched(
                 pairs, provider=provider, size_bound=size_bound
             )
+        _count_dispatch("scalar_batches")
         return self.reference_route_many(
             pairs, provider=provider, size_bound=size_bound
         )
@@ -1133,14 +1156,8 @@ def route_many_multi(
         len(pairs) * engine.kernel.num_vertices
         for engine, pairs, _ns in normalized
     )
-    if lockstep is None:
-        use_stacked = (
-            total_pairs >= _LOCKSTEP_AUTO_MIN_STATIC
-            and aggregate_work >= _LOCKSTEP_AUTO_MIN_WORK
-        )
-    else:
-        use_stacked = bool(lockstep) and total_pairs > 0
-    if not use_stacked:
+    if not _use_lockstep(lockstep, total_pairs, aggregate_work):
+        # Each task's route_many counts its own dispatch.
         return [
             engine.route_many(
                 pairs,
@@ -1155,6 +1172,7 @@ def route_many_multi(
 
     from repro.core.batch_kernel import batched_walk_for, multigraph_walk_for
 
+    _count_dispatch("lockstep_batches")
     # One BatchedWalk per distinct kernel; one job per (task, size bound).
     steppers: List[object] = []
     stepper_index: Dict[int, int] = {}
@@ -1216,6 +1234,7 @@ def route_many_multi(
             target_found_at_step=account.target_found_at,
             header_bits=header_bits,
         )
+    _count_dispatch("lockstep_spilled_pairs", len(unresolved))
     for job_index, local_index in unresolved:
         task_index, indices = job_meta[job_index][0], job_meta[job_index][1]
         engine, pairs, namespace_size = normalized[task_index]
@@ -1247,8 +1266,12 @@ def prepared_cache_info() -> Dict[str, float]:
     offset-buffer caches, and every miss adds the offsets it fetched from
     the provider to ``offsets_generated`` and the time the fetch took to
     ``offset_generation_s``, so a session can see sequence materialisation
-    cost too; :meth:`repro.api.Session.cache_info` merges these numbers with
-    the session-scoped scenario-cache counters (the ``repro sweep`` summary
+    cost too.  ``lockstep_batches`` / ``scalar_batches`` count how
+    ``route_many`` / :func:`route_many_multi` dispatched each batch, and
+    ``lockstep_spilled_pairs`` the pairs a lockstep kernel handed back to
+    the scalar kernel at its buffer cap.
+    :meth:`repro.api.Session.cache_info` merges these numbers with the
+    session-scoped scenario-cache counters (the ``repro sweep`` summary
     line prints that merged view).
 
     The kernel store contributes its full tier picture: memory-LRU
@@ -1275,6 +1298,8 @@ def prepared_cache_info() -> Dict[str, float]:
     )
     with _GENERATION_LOCK:
         info.update(_GENERATION)
+    with _DISPATCH_LOCK:
+        info.update(_DISPATCH)
     info.update(batch_cache_info())
     return info
 
@@ -1301,6 +1326,9 @@ def clear_prepared_caches() -> None:
     with _GENERATION_LOCK:
         _GENERATION["offsets_generated"] = 0
         _GENERATION["offset_generation_s"] = 0.0
+    with _DISPATCH_LOCK:
+        for key in _DISPATCH:
+            _DISPATCH[key] = 0
     shared_provider = default_provider()
     clear = getattr(shared_provider, "clear_cache", None)
     if callable(clear):

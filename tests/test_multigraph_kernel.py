@@ -27,7 +27,12 @@ from repro.core.batch_kernel import (
     batched_walk_for,
     multigraph_walk_for,
 )
-from repro.core.engine import prepare, route_many_multi
+from repro.core.engine import (
+    clear_prepared_caches,
+    prepare,
+    prepared_cache_info,
+    route_many_multi,
+)
 from repro.core.universal import RandomSequenceProvider
 from repro.graphs import generators
 from repro.graphs.labeled_graph import LabeledGraph
@@ -222,7 +227,17 @@ def test_spilled_pairs_complete_on_the_scalar_kernel(monkeypatch):
         return original(self, jobs, start_port=start_port, max_buffer_elements=1)
 
     monkeypatch.setattr(MultiGraphWalk, "run", tiny_buffer_run)
+    clear_prepared_caches()
     assert route_many_multi(tasks, provider=_PROVIDER, lockstep=True) == expected
+    # One stacked batch, and every pair that has to walk spilled.
+    info = prepared_cache_info()
+    assert info["lockstep_batches"] == 1
+    assert info["lockstep_spilled_pairs"] == sum(
+        1
+        for _graph, pairs, _ns in tasks
+        for source, target in pairs
+        if source != target
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -166,6 +166,8 @@ def test_healthz_and_metrics_shapes():
             assert "session_tasks" in metrics["cache"]
             assert "offsets_generated" in metrics["cache"]
             assert "offset_generation_s" in metrics["cache"]
+            for key in ("lockstep_batches", "scalar_batches", "lockstep_spilled_pairs"):
+                assert key in metrics["cache"]
 
     asyncio.run(scenario())
 
