@@ -3,10 +3,11 @@
 Every batch workload (sweeps, conformance, ``route-many``, the ProcessPool
 chunk path) routes a *set* of pairs over one prepared graph.
 :meth:`repro.core.engine.PreparedNetwork.route_many` used to loop the scalar
-walk per pair; the lockstep kernel (:mod:`repro.core.batch_kernel`) advances
-all walks one synchronous step at a time over the compiled flat arrays, with
-one fused NumPy gather per step for the whole batch and per-pair accounting
-recovered from the recorded trajectory.
+walk per pair; the static lockstep stepper (:mod:`repro.core.batch_kernel`)
+merges walks from one source into one front and advances all fronts one
+synchronous step at a time over the compiled flat arrays, with one NumPy
+gather per step for the whole batch and per-pair accounting recovered from
+the recorded trajectory.
 
 This benchmark routes one 512-pair batch over a 16x16 grid twice:
 
@@ -101,7 +102,7 @@ def _emit(report: dict) -> None:
             "1.0",
         ],
         [
-            "route_many lockstep (BatchedWalk)",
+            "route_many lockstep (static stepper)",
             len(pairs),
             f"{report['batched_elapsed'] * 1000:.1f}",
             f"{report['batched_elapsed'] * 1000 / len(pairs):.3f}",

@@ -5,10 +5,12 @@ graphs.  The PR-5 path re-entered Python per scenario: each shard's pairs
 went through ``route_many`` alone, and a batch of 8–28 pairs is below the
 lockstep dispatch threshold, so every scenario ran the scalar reference
 loop.  The multi-graph kernel (:class:`repro.core.batch_kernel.MultiGraphWalk`)
-stacks all compiled transition tables into one tensor with per-walk graph
-offsets, so an entire sweep group advances in one fused gather per global
-step — :func:`repro.analysis.runner.evaluate_shards` turns a whole shard
-group into a handful of NumPy calls.
+stacks all compiled transition tables into one tensor with per-graph state
+bases and runs the static lockstep stepper over it: jobs that read the same
+exploration sequence (the same size bound) step together whatever their
+graph, one gather per step —
+:func:`repro.analysis.runner.evaluate_shards` turns a whole shard group into
+a handful of NumPy calls.
 
 This benchmark runs one sweep plan (grid + ring scenarios, small per-shard
 batches) twice:

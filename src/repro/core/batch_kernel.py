@@ -9,21 +9,32 @@ view of the walk — over the flat arrays of
 :class:`repro.core.walk_kernel.CompiledWalk`, with one fused gather per step
 for the whole batch.
 
-Three steppers are provided:
+Two steppers are provided:
 
-:class:`BatchedWalk` (static networks)
+The static stepper (:class:`BatchedWalk` and :class:`MultiGraphWalk`)
     Walk state is a single integer ``state = 3 * vertex + entry_port``; the
     rotation map is pre-fused into three transition arrays ``step[o]`` (one
     per offset value) so a forward step for *all* walks is the one gather
-    ``state = step[o][state]``.  Walks that share a start state share their
-    entire forward trajectory (the walk is deterministic per start state), so
-    the stepper advances only the *distinct source fronts* in lockstep while
-    recording the owner trajectory; each pair's termination step, backward
-    phase and physical/virtual step accounting are then recovered from that
-    trajectory by vectorized reductions — the backward phase retraces the
-    forward walk exactly (reversibility, Section 2 of the paper), so its
-    accounting is a pure function of the forward owner sequence.  The numbers
-    produced are identical, walk for walk, to the scalar kernel in
+    ``state = step[o][state]``.  Every walk reads ``T_n[t]`` at step ``t``,
+    so walks whose jobs share an offsets buffer read the same offset on the
+    same step, whatever graph or source they start from: they form one
+    *lane*, and a step of a lane is one ``take`` over the lane's fronts.
+    Walks that share a start state share their entire forward trajectory
+    (the walk is deterministic per start state), so a lane holds one *front*
+    per distinct ``(job, source)``.  After each chunk of steps, a blocked
+    ``argmax`` over rows x open pairs finds each pair's delivery; each
+    pair's backward phase and physical/virtual step accounting are then
+    recovered from the recorded owner trajectory by vectorized reductions —
+    the backward phase retraces the forward walk exactly (reversibility,
+    Section 2 of the paper), so its accounting is a pure function of the
+    forward owner sequence.  :class:`BatchedWalk` runs it on one graph's
+    fused tables; :class:`MultiGraphWalk` runs it on the tables of several
+    graphs stacked into one ``(3, total_states)`` tensor with per-graph state
+    bases, which is what lets an entire sweep shard (all scenarios x all
+    pairs) execute as a handful of NumPy calls in
+    :func:`repro.core.engine.route_many_multi` /
+    :func:`repro.analysis.runner.evaluate_shards`.  The numbers produced are
+    identical, walk for walk, to the scalar kernel in
     :meth:`repro.core.engine.PreparedNetwork.route`.
 
 :class:`ScheduleBatchedWalk` (dynamic-topology extension)
@@ -44,26 +55,9 @@ Three steppers are provided:
     back at its source, or tick ``2L + 1``).  Results are those of
     :meth:`repro.core.engine.PreparedSchedule.route`, decision for decision.
 
-:class:`MultiGraphWalk` (static networks, several graphs at once)
-    The per-graph transition tables of several :class:`BatchedWalk` steppers
-    are stacked into one ``(3, total_states)`` tensor with cumulative
-    per-graph state bases, and each distinct exploration sequence becomes a
-    row of one zero-padded offsets matrix — so walks over *different*
-    compiled graphs, with *different* sequence lengths, all advance with a
-    single fused gather per global step (``state = step[off, state]`` where
-    ``off`` is gathered per front from the offsets matrix).  Per-front
-    sequence-length clamps keep termination detection and accounting exactly
-    those of :class:`BatchedWalk`; the accounting reductions are literally
-    shared (:func:`_account_from_trajectory`), so the multi-graph path is
-    bitwise identical to running each graph's batch alone — which is itself
-    bitwise identical to the scalar walk.  This is what lets an entire sweep
-    shard (all scenarios x all pairs) execute as a handful of NumPy calls in
-    :func:`repro.core.engine.route_many_multi` /
-    :func:`repro.analysis.runner.evaluate_shards`.
-
 Offsets arrive as the sequence's ``bytes`` buffer
-(:class:`repro.core.exploration.ExplicitSequence`); a stepper that gathers
-them as an array uses :func:`np_offsets_for`, a zero-copy ``int8`` view.
+(:class:`repro.core.exploration.ExplicitSequence`); the steppers index it
+directly, and :func:`np_offsets_for` gives a zero-copy ``int8`` view of it.
 """
 
 from __future__ import annotations
@@ -105,6 +99,10 @@ _CHUNK_ROWS_MAX = 4096
 #: stepping only at chunk ends, so a larger cap walks further past the last
 #: delivery (the shared 4096 cap overran it by about 1,800 ticks).
 _SCHEDULE_CHUNK_ROWS_MAX = 512
+
+#: Most elements one delivery comparison (chunk rows x open pairs) holds:
+#: a chunk's open pairs are compared in blocks of this many elements.
+_HIT_BLOCK_ELEMENTS = 1 << 18
 
 #: Comparand of a target no ``int32`` owner id can equal.
 _NO_OWNER = 1 << 40
@@ -150,9 +148,8 @@ def _account_from_trajectory(
     forward owner sequence: the walk runs ``forward_steps`` steps (the hit
     step, or the whole sequence on failure), backtracks to the *last* visit
     of the source, and counts a physical hop at every owner change in both
-    directions.  Shared verbatim by :class:`BatchedWalk` and
-    :class:`MultiGraphWalk`, so the single- and multi-graph lockstep paths
-    cannot drift apart.
+    directions.  The static stepper calls it once per resolved pair, for
+    :class:`BatchedWalk` and :class:`MultiGraphWalk` alike.
     """
     forward_steps = sequence_length if target_found is None else target_found
     owner_walk = trajectory[: forward_steps + 1]
@@ -173,6 +170,184 @@ def _account_from_trajectory(
     )
 
 
+class _Lane:
+    """The fronts of every job that reads one offsets buffer.
+
+    They read the same offset on every step, so one ``take`` advances them
+    all.  Column ``c`` of ``state`` is front ``fronts[c]``; the pairs still
+    walking are ``open_pair`` (global pair ids) with their front column
+    ``open_column`` and target comparand ``open_target``.  These are lists
+    while the lane is filled and arrays from :meth:`start` on.
+    """
+
+    __slots__ = ("offsets", "fronts", "state", "open_pair", "open_column", "open_target")
+
+    def __init__(self, offsets: bytes) -> None:
+        self.offsets = offsets
+        self.fronts: List[int] = []
+        self.state = []
+        self.open_pair = []
+        self.open_column = []
+        self.open_target = []
+
+    def start(self) -> None:
+        self.state = _np.array(self.state, dtype=_np.int32)
+        self.open_pair = _np.array(self.open_pair, dtype=_np.int64)
+        self.open_column = _np.array(self.open_column, dtype=_np.int64)
+        self.open_target = _np.array(self.open_target, dtype=_np.int64)
+
+    def advance(
+        self,
+        step: Sequence["_np.ndarray"],
+        owner_state: "_np.ndarray",
+        start: int,
+        rows: int,
+        found_at: "_np.ndarray",
+        pieces: List[List["_np.ndarray"]],
+    ) -> None:
+        """Step the fronts ``rows`` times from step ``start``; close hit pairs.
+
+        Appends each front's owner row to its trajectory ``pieces`` and
+        writes the step at which a pair first meets its target to
+        ``found_at``.
+        """
+        buffer = _np.empty((rows + 1, len(self.fronts)), dtype=_np.int32)
+        buffer[0] = self.state
+        # States are always in range; mode="raise" would buffer ``out``.
+        window = self.offsets[start : start + rows]
+        for offset, before, after in zip(window, buffer, buffer[1:]):
+            step[offset].take(before, out=after, mode="clip")
+        self.state = buffer[rows]
+        # One contiguous owner row per front: its trajectory over the chunk.
+        owners = owner_state[buffer[1:].T]
+        for column, front in enumerate(self.fronts):
+            pieces[front].append(owners[column])
+
+        # First row whose owner is the pair's target, compared in blocks of
+        # open pairs so the temporaries stay bounded.
+        columns = self.open_column
+        first = _np.empty(columns.size, dtype=_np.int64)
+        hit = _np.empty(columns.size, dtype=bool)
+        width = max(1, _HIT_BLOCK_ELEMENTS // rows)
+        for low in range(0, columns.size, width):
+            block = slice(low, low + width)
+            hits = owners[columns[block]] == self.open_target[block, None]
+            first[block] = hits.argmax(axis=1)
+            hit[block] = hits[_np.arange(hits.shape[0]), first[block]]
+        if not hit.any():
+            return
+        found_at[self.open_pair[hit]] = start + 1 + first[hit]
+        kept = ~hit
+        self.open_pair = self.open_pair[kept]
+        self.open_column = columns[kept]
+        self.open_target = self.open_target[kept]
+        # A front with no pair left walking drops out.
+        live = _np.zeros(len(self.fronts), dtype=bool)
+        live[self.open_column] = True
+        if not live.all():
+            self.state = self.state[live]
+            self.fronts = _np.asarray(self.fronts)[live].tolist()
+            self.open_column = (_np.cumsum(live) - 1)[self.open_column]
+
+
+def _static_lockstep(
+    step: Sequence["_np.ndarray"],
+    owner_state: "_np.ndarray",
+    jobs: Sequence[Tuple[int, CompiledWalk, Sequence[Tuple[int, int]], bytes]],
+    start_port: int,
+    max_buffer_elements: int,
+) -> Tuple[Dict[Tuple[int, int], StaticWalkAccount], List[Tuple[int, int]]]:
+    """The static lockstep loop behind :class:`BatchedWalk` and :class:`MultiGraphWalk`.
+
+    ``jobs`` are ``(state_base, kernel, pairs, offsets)``: graph-local
+    ``(source, target)`` pairs routed over ``kernel``, whose states start at
+    ``state_base`` in ``step`` / ``owner_state``, with that offsets buffer.
+    Returns accounts keyed ``(job index, pair index)`` plus the keys the
+    trajectory buffer cap left unresolved.
+    """
+    keys: List[Tuple[int, int]] = []
+    found: List[int] = []  # per pair: the step its target is met, -1 if open
+    front_of: Dict[Tuple[int, int], int] = {}
+    front_source: List[int] = []
+    front_length: List[int] = []
+    front_column: List[Optional[int]] = []
+    members: List[List[int]] = []
+    lanes: Dict[int, _Lane] = {}
+    for job, (state_base, kernel, pairs, offsets) in enumerate(jobs):
+        lane = lanes.get(id(offsets))
+        if lane is None:
+            lane = lanes[id(offsets)] = _Lane(offsets)
+        for index, (source, target) in enumerate(pairs):
+            front = front_of.get((job, source))
+            if front is None:
+                front = front_of[(job, source)] = len(front_source)
+                front_source.append(source)
+                front_length.append(len(offsets))
+                front_column.append(None)
+                members.append([])
+            pair = len(keys)
+            keys.append((job, index))
+            members[front].append(pair)
+            if target == source:
+                # owner(start state) == source: success before any step.
+                found.append(0)
+                continue
+            found.append(-1)
+            column = front_column[front]
+            if column is None:
+                # A front joins its lane with its first pair that walks.
+                column = front_column[front] = len(lane.fronts)
+                lane.fronts.append(front)
+                lane.state.append(state_base + 3 * kernel.gateway(source) + start_port)
+            lane.open_pair.append(pair)
+            lane.open_column.append(column)
+            lane.open_target.append(_owner_key(target))
+    for lane in lanes.values():
+        lane.start()
+
+    # Advance every lane chunk by chunk, recording owner trajectories.
+    found_at = _np.array(found, dtype=_np.int64)
+    pieces: List[List["_np.ndarray"]] = [[] for _ in front_source]
+    spilled: List[int] = []
+    buffered_elements = 0
+    walked = 0
+    chunk_rows = _CHUNK_ROWS_MIN
+    live = [lane for lane in lanes.values() if lane.fronts and lane.offsets]
+    while live:
+        spans = [min(chunk_rows, len(lane.offsets) - walked) for lane in live]
+        elements = sum(len(lane.fronts) * rows for lane, rows in zip(live, spans))
+        if buffered_elements + elements > max_buffer_elements:
+            # Every pair still walking goes back to the scalar kernel.
+            for lane in live:
+                spilled.extend(lane.open_pair.tolist())
+            break
+        buffered_elements += elements
+        for lane, rows in zip(live, spans):
+            lane.advance(step, owner_state, walked, rows, found_at, pieces)
+        walked += chunk_rows
+        chunk_rows = min(2 * chunk_rows, _CHUNK_ROWS_MAX)
+        live = [lane for lane in live if lane.fronts and len(lane.offsets) > walked]
+
+    # Per-pair accounting over each front's recorded owner trajectory.
+    accounts: Dict[Tuple[int, int], StaticWalkAccount] = {}
+    unresolved = set(spilled)
+    found = found_at.tolist()
+    for front, source in enumerate(front_source):
+        trajectory = _np.concatenate(
+            [_np.array([source], dtype=_np.int32)] + pieces[front]
+        )
+        for pair in members[front]:
+            if pair in unresolved:
+                continue
+            accounts[keys[pair]] = _account_from_trajectory(
+                trajectory,
+                source,
+                front_length[front],
+                found[pair] if found[pair] >= 0 else None,
+            )
+    return accounts, [keys[pair] for pair in spilled]
+
+
 @dataclass(frozen=True)
 class ScheduleWalkAccount:
     """Per-walk accounting of one batched schedule route (scalar-identical)."""
@@ -185,7 +360,7 @@ class ScheduleWalkAccount:
 
 
 class BatchedWalk:
-    """NumPy view of one :class:`CompiledWalk` plus the static lockstep stepper.
+    """NumPy view of one :class:`CompiledWalk`; :meth:`run` steps batches on it.
 
     Construction fuses the rotation map into per-offset transition arrays:
 
@@ -236,110 +411,17 @@ class BatchedWalk:
         not resolve because the trajectory buffer cap was reached — the
         caller finishes those on the scalar kernel (identical results).
         """
-        kernel = self.kernel
-        length = len(offsets)
-        owner_state = self.owner_state
-        step = self.step
-
-        # Group pairs by source: walks sharing a start state share their
-        # whole forward trajectory, so only distinct fronts are stepped.
-        order: List[int] = []
-        by_source: Dict[int, List[int]] = {}
-        for index, (source, _target) in enumerate(pairs):
-            bucket = by_source.get(source)
-            if bucket is None:
-                by_source[source] = bucket = []
-                order.append(source)
-            bucket.append(index)
-
-        accounts: Dict[int, StaticWalkAccount] = {}
-        found_at: Dict[int, int] = {}
-        # remaining[source] -> [(pair index, target), ...] not yet terminated.
-        remaining: Dict[int, List[Tuple[int, int]]] = {}
-        for source in order:
-            open_pairs: List[Tuple[int, int]] = []
-            for index in by_source[source]:
-                target = pairs[index][1]
-                if target == source:
-                    # owner(start state) == source: the scalar walk succeeds
-                    # before taking a single step.
-                    found_at[index] = 0
-                else:
-                    open_pairs.append((index, target))
-            remaining[source] = open_pairs
-
-        # --- stage 1: lockstep-advance the distinct fronts, recording the
-        # owner trajectory chunk by chunk (transposed: one contiguous row per
-        # front), with termination detection and front compaction per chunk.
-        chunks: List[Tuple[Dict[int, int], "_np.ndarray"]] = []
-        active: List[int] = [source for source in order if remaining[source]]
-        state = _np.array(
-            [3 * kernel.gateway(source) + start_port for source in active],
-            dtype=_np.int32,
+        accounts, unresolved = _static_lockstep(
+            self.step,
+            self.owner_state,
+            [(0, self.kernel, pairs, offsets)],
+            start_port,
+            max_buffer_elements,
         )
-        buffered_elements = 0
-        global_step = 0
-        truncated = False
-        chunk_rows = _CHUNK_ROWS_MIN
-        while active and global_step < length:
-            rows = min(chunk_rows, length - global_step)
-            chunk_rows = min(2 * chunk_rows, _CHUNK_ROWS_MAX)
-            if buffered_elements + len(active) * rows > max_buffer_elements:
-                truncated = True
-                break
-            buffer = _np.empty((len(active), rows), dtype=_np.int32)
-            for row in range(rows):
-                state = step[offsets[global_step + row]][state]
-                buffer[:, row] = state
-            owners = owner_state[buffer]
-            buffered_elements += owners.size
-            column_of = {source: column for column, source in enumerate(active)}
-            chunks.append((column_of, owners))
-            for source in active:
-                row_owners = owners[column_of[source]]
-                still_open: List[Tuple[int, int]] = []
-                for index, target in remaining[source]:
-                    hits = _np.nonzero(row_owners == target)[0]
-                    if hits.size:
-                        found_at[index] = global_step + int(hits[0]) + 1
-                    else:
-                        still_open.append((index, target))
-                remaining[source] = still_open
-            global_step += rows
-            survivors = [source for source in active if remaining[source]]
-            if len(survivors) != len(active):
-                keep = _np.array(
-                    [column_of[source] for source in survivors], dtype=_np.int64
-                )
-                state = state[keep]
-                active = survivors
-
-        # --- stage 2: per-pair accounting by vectorized reductions over the
-        # recorded owner trajectory (the backward phase retraces the forward
-        # walk, so its step/hop counts are functions of that trajectory).
-        unresolved: List[int] = []
-        for source in order:
-            if truncated and remaining[source]:
-                # This front was still walking when the buffer cap hit: every
-                # unfinished pair goes back to the scalar kernel.
-                unresolved.extend(index for index, _ in remaining[source])
-            trajectory_rows: List["_np.ndarray"] = [
-                _np.array([source], dtype=_np.int32)
-            ]
-            for column_of, owners in chunks:
-                column = column_of.get(source)
-                if column is None:
-                    break
-                trajectory_rows.append(owners[column])
-            trajectory = _np.concatenate(trajectory_rows)
-            for index in by_source[source]:
-                target_found = found_at.get(index)
-                if target_found is None and truncated:
-                    continue  # already queued as unresolved
-                accounts[index] = _account_from_trajectory(
-                    trajectory, source, length, target_found
-                )
-        return accounts, unresolved
+        return (
+            {index: account for (_job, index), account in accounts.items()},
+            [index for _job, index in unresolved],
+        )
 
 
 class ScheduleBatchedWalk:
@@ -582,27 +664,17 @@ class MultiGraphWalk:
     so a global walk state carries its graph implicitly and one fused gather
     advances walks over different graphs simultaneously.  ``owner_state`` is
     concatenated the same way and yields *graph-local* original vertex ids —
-    each front only ever compares owners against targets of its own graph, so
+    each pair only ever compares owners against its own graph's target, so
     overlapping id ranges between graphs are harmless.
 
     :meth:`run` takes *jobs* — ``(stepper index, pairs, offsets)`` triples,
-    one per (graph, size-bound) group — whose exploration sequences may have
-    different lengths: each distinct job contributes a row to a zero-padded
-    ``int8`` offsets matrix, fronts gather their current offset from their
-    row, and a per-front sequence-length clamp ignores any trajectory
-    recorded past the front's own horizon.  Accounting is the shared
-    :func:`_account_from_trajectory` reduction, so results are bitwise
+    one per (graph, size-bound) group — and runs the same static stepper as
+    :class:`BatchedWalk` over the stacked tensor: jobs that share an offsets
+    buffer, even on different graphs, step together, so results are bitwise
     identical to running each job through :class:`BatchedWalk` alone.
     """
 
-    __slots__ = (
-        "steppers",
-        "step",
-        "step_flat",
-        "owner_state",
-        "state_base",
-        "num_states",
-    )
+    __slots__ = ("steppers", "step", "owner_state", "state_base")
 
     def __init__(self, steppers: Sequence[BatchedWalk]) -> None:
         if not steppers:
@@ -614,7 +686,6 @@ class MultiGraphWalk:
             bases.append(total)
             total += stepper.num_states
         self.state_base = bases
-        self.num_states = total
         # One (3, total_states) tensor: row o is the offset-o transition of
         # every graph, shifted into the global state space.
         self.step = _np.stack(
@@ -631,10 +702,6 @@ class MultiGraphWalk:
         self.owner_state = _np.concatenate(
             [stepper.owner_state for stepper in self.steppers]
         )
-        # Flat view for the hot loop: state' = step_flat[offset * num_states
-        # + state] folds the (offset, state) double gather into one add plus
-        # one 1-D gather per global step.
-        self.step_flat = _np.ascontiguousarray(self.step).reshape(-1)
 
     def run(
         self,
@@ -651,162 +718,16 @@ class MultiGraphWalk:
         the keys left unresolved by the trajectory buffer cap — the caller
         finishes those on the scalar kernel (identical results).
         """
-        step_flat = self.step_flat
-        num_states = self.num_states
-        owner_state = self.owner_state
-        state_base = self.state_base
-        steppers = self.steppers
-
-        # The hot loop slices the walked window of each job's sequence per
-        # chunk instead of materialising a padded jobs x max_length matrix —
-        # sequences run to millions of entries while typical batches resolve
-        # within a few thousand steps.
-        lengths = [len(offsets) for _stepper, _pairs, offsets in jobs]
-        max_length = max(lengths, default=0)
-        job_offsets = [
-            np_offsets_for(offsets) for _stepper, _pairs, offsets in jobs
-        ]
-
-        # Group each job's pairs by source: within one job, walks sharing a
-        # start state share their whole forward trajectory (same graph, same
-        # sequence), exactly as in BatchedWalk.
-        accounts: Dict[Tuple[int, int], StaticWalkAccount] = {}
-        found_at: Dict[Tuple[int, int], int] = {}
-        front_order: List[Tuple[int, int]] = []  # (job, source)
-        members: Dict[Tuple[int, int], List[int]] = {}
-        remaining: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for job_index, (_stepper_index, pairs, _offsets) in enumerate(jobs):
-            for pair_index, (source, target) in enumerate(pairs):
-                front = (job_index, source)
-                if front not in members:
-                    members[front] = []
-                    remaining[front] = []
-                    front_order.append(front)
-                members[front].append(pair_index)
-                if target == source:
-                    # owner(start state) == source: success before any step.
-                    found_at[(job_index, pair_index)] = 0
-                else:
-                    remaining[front].append((pair_index, target))
-
-        # --- stage 1: advance all distinct fronts of all jobs in lockstep,
-        # recording the global-state trajectory chunk by chunk.
-        chunks: List[Tuple[Dict[Tuple[int, int], int], "_np.ndarray"]] = []
-        active: List[Tuple[int, int]] = [
-            front
-            for front in front_order
-            if remaining[front] and lengths[front[0]] > 0
-        ]
-        state = _np.array(
+        return _static_lockstep(
+            tuple(self.step),
+            self.owner_state,
             [
-                state_base[jobs[job][0]]
-                + 3 * steppers[jobs[job][0]].kernel.gateway(source)
-                + start_port
-                for job, source in active
+                (self.state_base[slot], self.steppers[slot].kernel, pairs, offsets)
+                for slot, pairs, offsets in jobs
             ],
-            dtype=_np.int32,
+            start_port,
+            max_buffer_elements,
         )
-        front_rows = _np.array([job for job, _source in active], dtype=_np.int64)
-        buffered_elements = 0
-        global_step = 0
-        truncated = False
-        chunk_rows = _CHUNK_ROWS_MIN
-        while active and global_step < max_length:
-            rows = min(chunk_rows, max_length - global_step)
-            chunk_rows = min(2 * chunk_rows, _CHUNK_ROWS_MAX)
-            if buffered_elements + len(active) * rows > max_buffer_elements:
-                truncated = True
-                break
-            # Per-chunk window of every job's sequence, zero-padded past each
-            # job's horizon (offset 0 keeps padded states valid; accounting
-            # clamps to the real horizon below), gathered per active front
-            # and premultiplied into flat-table bases.
-            off_jobs = _np.zeros((len(jobs), rows), dtype=_np.int8)
-            for job, offsets_array in enumerate(job_offsets):
-                usable_rows = min(rows, lengths[job] - global_step)
-                if usable_rows > 0:
-                    off_jobs[job, :usable_rows] = offsets_array[
-                        global_step : global_step + usable_rows
-                    ]
-            bases = off_jobs[front_rows].astype(_np.int32)
-            bases *= num_states
-            bases = _np.ascontiguousarray(bases.T)
-            # Trajectory buffer is (rows, fronts): the per-step store and the
-            # next step's read then touch one contiguous row each.
-            buffer = _np.empty((rows, len(active)), dtype=_np.int32)
-            for row in range(rows):
-                # The one fused gather per global step: bases is per-chunk
-                # scratch, so the flat index is formed in place and the new
-                # states land directly in the trajectory buffer.
-                indices = bases[row]
-                indices += state
-                state = _np.take(step_flat, indices, out=buffer[row])
-            owners = owner_state[buffer]
-            buffered_elements += owners.size
-            column_of = {front: column for column, front in enumerate(active)}
-            chunks.append((column_of, owners))
-            for front in active:
-                job, source = front
-                # Clamp to this front's own horizon: trajectory recorded past
-                # its sequence length came from padded offsets and is never
-                # part of this front's walk.
-                usable = min(rows, lengths[job] - global_step)
-                if usable <= 0:
-                    continue
-                row_owners = owners[:usable, column_of[front]]
-                still_open: List[Tuple[int, int]] = []
-                for pair_index, target in remaining[front]:
-                    hits = _np.nonzero(row_owners == target)[0]
-                    if hits.size:
-                        found_at[(job, pair_index)] = (
-                            global_step + int(hits[0]) + 1
-                        )
-                    else:
-                        still_open.append((pair_index, target))
-                remaining[front] = still_open
-            global_step += rows
-            survivors = [
-                front
-                for front in active
-                if remaining[front] and lengths[front[0]] > global_step
-            ]
-            if len(survivors) != len(active):
-                keep = _np.array(
-                    [column_of[front] for front in survivors], dtype=_np.int64
-                )
-                state = state[keep]
-                front_rows = front_rows[keep]
-                active = survivors
-
-        # --- stage 2: shared per-pair accounting over recorded trajectories.
-        unresolved: List[Tuple[int, int]] = []
-        truncated_fronts = set(active) if truncated else set()
-        for front in front_order:
-            job, source = front
-            if front in truncated_fronts:
-                # Still walking when the buffer cap hit: every unfinished
-                # pair goes back to the scalar kernel.
-                unresolved.extend(
-                    (job, pair_index) for pair_index, _ in remaining[front]
-                )
-            trajectory_rows: List["_np.ndarray"] = [
-                _np.array([source], dtype=_np.int32)
-            ]
-            for column_of, owners in chunks:
-                column = column_of.get(front)
-                if column is None:
-                    break
-                trajectory_rows.append(owners[:, column])
-            trajectory = _np.concatenate(trajectory_rows)
-            for pair_index in members[front]:
-                key = (job, pair_index)
-                target_found = found_at.get(key)
-                if target_found is None and front in truncated_fronts:
-                    continue  # already queued as unresolved
-                accounts[key] = _account_from_trajectory(
-                    trajectory, source, lengths[job], target_found
-                )
-        return accounts, unresolved
 
 
 # --------------------------------------------------------------------------- #

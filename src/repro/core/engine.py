@@ -126,8 +126,11 @@ _GENERATION_LOCK = threading.Lock()
 #: governed by the reduced-graph size).  The auto policy therefore requires
 #: both a minimum batch and a minimum ``batch x kernel-vertices`` product,
 #: one pair for static, multi-graph and schedule batches alike.  Measured
-#: break-even: a static 64-pair batch around a 12x12 grid (~530 kernel
-#: vertices); a schedule batch on a 4-snapshot relabel torus-36 (144 kernel
+#: break-even (process CPU time, 24 pair sets per cell): the static stepper
+#: on a 12x12 grid (528 kernel vertices) at about 32 pairs (lockstep takes
+#: 0.9x of the scalar time there, 0.54x at 64 pairs), on an 8x8 grid (224)
+#: at about 32 pairs too (1.05x) and on a 6x6 grid (120) at about 64 pairs
+#: (1.05x); a schedule batch on a 4-snapshot relabel torus-36 (144 kernel
 #: vertices) at about 32 pairs (lockstep takes 0.85-1.13x of the scalar
 #: time there, 0.6-0.7x at 64 pairs and about 0.4x at 144).  The thresholds
 #: only steer the *default* — ``lockstep=True``/``False`` overrides them;
@@ -417,13 +420,14 @@ class PreparedNetwork:
         engine build, then one pass over the compiled walk kernel.  Batches
         large enough for vectorization to pay off (both a minimum batch size
         and a minimum batch x kernel-size work product — small batches and
-        short walks are faster scalar) run on the NumPy lockstep kernel
-        (:class:`repro.core.batch_kernel.BatchedWalk` — all walks advance one
-        synchronous step at a time with one fused gather per step); small
-        batches run the scalar loop :meth:`reference_route_many`, the
-        executable specification.  Results
-        are bit-for-bit identical either way (the ``batch-parity``
-        conformance invariant and ``benchmarks/bench_batch.py`` assert it).
+        short walks are faster scalar) run on the static lockstep stepper
+        through :class:`repro.core.batch_kernel.BatchedWalk`: pairs that
+        share a size bound form one job, walks from one source merge into one
+        front, and each step is one gather over all fronts.  Small batches
+        run the scalar loop :meth:`reference_route_many`, the executable
+        specification.  Results are bit-for-bit identical either way (the
+        ``batch-parity`` conformance invariant and
+        ``benchmarks/bench_batch.py`` assert it).
 
         ``lockstep`` forces the choice: ``True`` routes through the batched
         kernel (no size threshold), ``False``
@@ -493,54 +497,92 @@ class PreparedNetwork:
         """
         from repro.core.batch_kernel import batched_walk_for
 
-        namespace = namespace_size if namespace_size is not None else self._namespace
+        stepper = batched_walk_for(self._kernel)
+        results: List[Optional[RouteResult]] = [None] * len(pairs)
+        for group in self._lockstep_groups(pairs, provider, size_bound):
+            accounts, unresolved = stepper.run(
+                [pairs[index] for index in group[1]], group[2], start_port=start_port
+            )
+            self._lockstep_results(
+                results, pairs, group, accounts, unresolved,
+                provider, size_bound, start_port, namespace_size,
+            )
+        return results
+
+    def _lockstep_groups(
+        self,
+        pairs: List[Tuple[int, int]],
+        provider: Optional[SequenceProvider],
+        size_bound: Optional[int],
+    ) -> List[Tuple[int, List[int], bytes]]:
+        """Split a lockstep batch by resolved size bound.
+
+        Returns ``(bound, pair indices, offsets)`` per group: pairs of one
+        group read one exploration sequence, so they walk in one job.
+        """
         for source in {source for source, _ in pairs}:
             self._require_source(source)
         groups: Dict[int, List[int]] = {}
         for index, (source, _target) in enumerate(pairs):
             bound = self.resolve_size_bound(source, size_bound)
             groups.setdefault(bound, []).append(index)
-        stepper = batched_walk_for(self._kernel)
-        results: List[Optional[RouteResult]] = [None] * len(pairs)
-        for bound, indices in groups.items():
-            offsets = self.offsets_for(bound, provider)
-            length = len(offsets)
-            header_bits = _header_bits(namespace, length)
-            group_pairs = [pairs[index] for index in indices]
-            accounts, unresolved = stepper.run(
-                group_pairs, offsets, start_port=start_port
+        return [
+            (bound, indices, self.offsets_for(bound, provider))
+            for bound, indices in groups.items()
+        ]
+
+    def _lockstep_results(
+        self,
+        results: List[Optional[RouteResult]],
+        pairs: List[Tuple[int, int]],
+        group: Tuple[int, List[int], bytes],
+        accounts: Dict[int, "StaticWalkAccount"],
+        unresolved: List[int],
+        provider: Optional[SequenceProvider],
+        size_bound: Optional[int],
+        start_port: int,
+        namespace_size: Optional[int],
+    ) -> None:
+        """Write one group's lockstep accounts into ``results``.
+
+        ``accounts`` and ``unresolved`` are keyed by position in the group;
+        the unresolved pairs (spilled at the kernel's buffer cap) are routed
+        on the scalar kernel instead, and counted.
+        """
+        bound, indices, offsets = group
+        length = len(offsets)
+        namespace = namespace_size if namespace_size is not None else self._namespace
+        header_bits = _header_bits(namespace, length)
+        for local_index, account in accounts.items():
+            index = indices[local_index]
+            source, target = pairs[index]
+            results[index] = RouteResult(
+                outcome=(
+                    RouteOutcome.SUCCESS if account.success else RouteOutcome.FAILURE
+                ),
+                delivered=account.success,
+                source=source,
+                target=target,
+                size_bound=bound,
+                sequence_length=length,
+                forward_virtual_steps=account.forward_steps,
+                backward_virtual_steps=account.backward_steps,
+                physical_hops=account.physical_hops,
+                target_found_at_step=account.target_found_at,
+                header_bits=header_bits,
             )
-            for local_index, account in accounts.items():
-                index = indices[local_index]
-                source, target = pairs[index]
-                results[index] = RouteResult(
-                    outcome=(
-                        RouteOutcome.SUCCESS if account.success else RouteOutcome.FAILURE
-                    ),
-                    delivered=account.success,
-                    source=source,
-                    target=target,
-                    size_bound=bound,
-                    sequence_length=length,
-                    forward_virtual_steps=account.forward_steps,
-                    backward_virtual_steps=account.backward_steps,
-                    physical_hops=account.physical_hops,
-                    target_found_at_step=account.target_found_at,
-                    header_bits=header_bits,
-                )
-            _count_dispatch("lockstep_spilled_pairs", len(unresolved))
-            for local_index in unresolved:
-                index = indices[local_index]
-                source, target = pairs[index]
-                results[index] = self.route(
-                    source,
-                    target,
-                    provider=provider,
-                    size_bound=size_bound,
-                    start_port=start_port,
-                    namespace_size=namespace_size,
-                )
-        return results
+        _count_dispatch("lockstep_spilled_pairs", len(unresolved))
+        for local_index in unresolved:
+            index = indices[local_index]
+            source, target = pairs[index]
+            results[index] = self.route(
+                source,
+                target,
+                provider=provider,
+                size_bound=size_bound,
+                start_port=start_port,
+                namespace_size=namespace_size,
+            )
 
     # ------------------------------------------------------------------ #
     # Walks shared with the sibling algorithms
@@ -1127,9 +1169,11 @@ def route_many_multi(
 
     ``tasks`` is a sequence of ``(engine_or_graph, pairs, namespace_size)``
     triples — typically one per sweep scenario.  All tasks' pairs are grouped
-    into per-(graph, size-bound) jobs and advanced together over the stacked
-    transition tensor of :class:`repro.core.batch_kernel.MultiGraphWalk`, so
-    an entire sweep shard executes as a handful of NumPy calls instead of a
+    into per-(graph, size-bound) jobs and run by the static lockstep stepper
+    over the stacked transition tensor of
+    :class:`repro.core.batch_kernel.MultiGraphWalk`: jobs that read the same
+    exploration sequence step together whatever their graph, so an entire
+    sweep shard executes as a handful of NumPy calls instead of a
     per-scenario Python loop.  Results come back as one
     :class:`~repro.core.routing.RouteResult` list per task, element-for-
     element identical to calling each engine's ``route_many`` (and therefore
@@ -1177,76 +1221,35 @@ def route_many_multi(
     steppers: List[object] = []
     stepper_index: Dict[int, int] = {}
     jobs: List[Tuple[int, List[Tuple[int, int]], bytes]] = []
-    #: job -> (task index, task-local pair indices, bound, header_bits, length)
-    job_meta: List[Tuple[int, List[int], int, int, int]] = []
-    for task_index, (engine, pairs, namespace_size) in enumerate(normalized):
-        namespace = (
-            namespace_size if namespace_size is not None else engine._namespace
-        )
-        for source in {source for source, _ in pairs}:
-            engine._require_source(source)
-        groups: Dict[int, List[int]] = {}
-        for pair_index, (source, _target) in enumerate(pairs):
-            bound = engine.resolve_size_bound(source, size_bound)
-            groups.setdefault(bound, []).append(pair_index)
-        kernel_key = id(engine.kernel)
-        graph_slot = stepper_index.get(kernel_key)
+    job_groups: List[Tuple[int, Tuple[int, List[int], bytes]]] = []
+    for task_index, (engine, pairs, _namespace_size) in enumerate(normalized):
+        graph_slot = stepper_index.get(id(engine.kernel))
         if graph_slot is None:
-            graph_slot = len(steppers)
-            stepper_index[kernel_key] = graph_slot
+            graph_slot = stepper_index[id(engine.kernel)] = len(steppers)
             steppers.append(batched_walk_for(engine.kernel))
-        for bound, indices in groups.items():
-            offsets = engine.offsets_for(bound, provider)
-            jobs.append((graph_slot, [pairs[i] for i in indices], offsets))
-            job_meta.append(
-                (
-                    task_index,
-                    indices,
-                    bound,
-                    _header_bits(namespace, len(offsets)),
-                    len(offsets),
-                )
-            )
+        for group in engine._lockstep_groups(pairs, provider, size_bound):
+            jobs.append((graph_slot, [pairs[index] for index in group[1]], group[2]))
+            job_groups.append((task_index, group))
 
-    multi = multigraph_walk_for(steppers)
-    accounts, unresolved = multi.run(jobs, start_port=start_port)
+    accounts, unresolved = multigraph_walk_for(steppers).run(
+        jobs, start_port=start_port
+    )
+    job_accounts: List[Dict[int, object]] = [{} for _ in jobs]
+    job_unresolved: List[List[int]] = [[] for _ in jobs]
+    for (job_index, local_index), account in accounts.items():
+        job_accounts[job_index][local_index] = account
+    for job_index, local_index in unresolved:
+        job_unresolved[job_index].append(local_index)
 
     results: List[List[Optional[RouteResult]]] = [
         [None] * len(pairs) for _engine, pairs, _ns in normalized
     ]
-    for (job_index, local_index), account in accounts.items():
-        task_index, indices, bound, header_bits, length = job_meta[job_index]
-        _engine, pairs, _ns = normalized[task_index]
-        pair_index = indices[local_index]
-        source, target = pairs[pair_index]
-        results[task_index][pair_index] = RouteResult(
-            outcome=(
-                RouteOutcome.SUCCESS if account.success else RouteOutcome.FAILURE
-            ),
-            delivered=account.success,
-            source=source,
-            target=target,
-            size_bound=bound,
-            sequence_length=length,
-            forward_virtual_steps=account.forward_steps,
-            backward_virtual_steps=account.backward_steps,
-            physical_hops=account.physical_hops,
-            target_found_at_step=account.target_found_at,
-            header_bits=header_bits,
-        )
-    _count_dispatch("lockstep_spilled_pairs", len(unresolved))
-    for job_index, local_index in unresolved:
-        task_index, indices = job_meta[job_index][0], job_meta[job_index][1]
+    for job_index, (task_index, group) in enumerate(job_groups):
         engine, pairs, namespace_size = normalized[task_index]
-        pair_index = indices[local_index]
-        source, target = pairs[pair_index]
-        results[task_index][pair_index] = engine.route(
-            source,
-            target,
-            provider=provider,
-            size_bound=size_bound,
-            start_port=start_port,
-            namespace_size=namespace_size,
+        engine._lockstep_results(
+            results[task_index], pairs, group,
+            job_accounts[job_index], job_unresolved[job_index],
+            provider, size_bound, start_port, namespace_size,
         )
     return results
 

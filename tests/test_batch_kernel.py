@@ -67,9 +67,11 @@ def _random_graph(n: int, p: float, seed: int) -> LabeledGraph:
     graph_seed=st.integers(min_value=0, max_value=10_000),
     pair_seed=st.integers(min_value=0, max_value=10_000),
     num_pairs=st.integers(min_value=1, max_value=40),
+    size_bound=st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7, 8]),
+    start_port=st.sampled_from([0, 1, 2]),
 )
 def test_static_route_many_batched_equals_reference(
-    n, p, graph_seed, pair_seed, num_pairs
+    n, p, graph_seed, pair_seed, num_pairs, size_bound, start_port
 ):
     graph = _random_graph(n, p, graph_seed)
     engine = prepare(graph)
@@ -78,8 +80,9 @@ def test_static_route_many_batched_equals_reference(
     # Repeated pairs and self-pairs are part of the contract.
     pairs.append(pairs[0])
     pairs.append((pairs[0][0], pairs[0][0]))
-    reference = engine.reference_route_many(pairs, provider=_PROVIDER)
-    batched = engine.route_many(pairs, provider=_PROVIDER, lockstep=True)
+    options = dict(provider=_PROVIDER, size_bound=size_bound, start_port=start_port)
+    reference = engine.reference_route_many(pairs, **options)
+    batched = engine.route_many(pairs, lockstep=True, **options)
     assert batched == reference
 
 
@@ -337,6 +340,8 @@ def test_dispatch_counters_count_each_batch(grid_4x4, provider):
     clear_prepared_caches()
     engine = prepare(grid_4x4)
     engine.route_many([(0, 15)] * 40, provider=provider, lockstep=True)
+    # A single-graph batch runs on its own fused tables, never a stacked one.
+    assert batch_kernel.batch_cache_info()["multigraph_kernels"] == 0
     engine.route_many([(0, 15), (3, 12)], provider=provider)
     info = Session().cache_info()
     assert info["lockstep_batches"] == 1

@@ -73,7 +73,11 @@ def _build_graph(family: str, size: int, seed: int) -> LabeledGraph:
 
 @st.composite
 def _mixed_batches(draw):
-    """A random mixture of (graph, pairs) tasks over distinct topologies."""
+    """Random (graph, pairs) tasks over distinct topologies, with options.
+
+    Returns ``(tasks, options)``; a forced ``size_bound`` gives every task
+    one exploration sequence, so jobs on different graphs share a lane.
+    """
     num_tasks = draw(st.integers(min_value=1, max_value=4))
     tasks = []
     for task_index in range(num_tasks):
@@ -93,7 +97,12 @@ def _mixed_batches(draw):
         pairs.append(pairs[0])
         pairs.append((pairs[0][0], pairs[0][0]))
         tasks.append((graph, pairs, None))
-    return tasks
+    options = dict(
+        provider=_PROVIDER,
+        size_bound=draw(st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7, 8])),
+        start_port=draw(st.sampled_from([0, 1, 2])),
+    )
+    return tasks, options
 
 
 # --------------------------------------------------------------------------- #
@@ -102,23 +111,25 @@ def _mixed_batches(draw):
 
 
 @_RELAXED
-@given(tasks=_mixed_batches())
-def test_route_many_multi_equals_reference(tasks):
-    stacked = route_many_multi(tasks, provider=_PROVIDER, lockstep=True)
+@given(batch=_mixed_batches())
+def test_route_many_multi_equals_reference(batch):
+    tasks, options = batch
+    stacked = route_many_multi(tasks, lockstep=True, **options)
     for (graph, pairs, _namespace), results in zip(tasks, stacked):
         engine = prepare(graph)
-        assert results == engine.reference_route_many(pairs, provider=_PROVIDER)
+        assert results == engine.reference_route_many(pairs, **options)
 
 
 @_RELAXED
-@given(tasks=_mixed_batches())
-def test_route_many_multi_auto_equals_reference(tasks):
+@given(batch=_mixed_batches())
+def test_route_many_multi_auto_equals_reference(batch):
     # The auto tri-state may stack or fall back per task depending on the
     # aggregate size — either way the results must be the reference's.
-    auto = route_many_multi(tasks, provider=_PROVIDER)
+    tasks, options = batch
+    auto = route_many_multi(tasks, **options)
     for (graph, pairs, _namespace), results in zip(tasks, auto):
         engine = prepare(graph)
-        assert results == engine.reference_route_many(pairs, provider=_PROVIDER)
+        assert results == engine.reference_route_many(pairs, **options)
 
 
 # --------------------------------------------------------------------------- #
