@@ -55,7 +55,8 @@ import dataclasses
 import hashlib
 import json
 import os
-from collections import Counter, OrderedDict
+import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -76,6 +77,7 @@ from repro.core.engine import (
     prepare_schedule,
     route_many_multi,
 )
+from repro.core.kernel_store import LRUCache
 from repro.core.routing import RouteOutcome
 from repro.errors import ExperimentError
 from repro.network.dynamics import DynamicOutcome
@@ -95,6 +97,7 @@ __all__ = [
     "run_sweep",
     "parallel_map",
     "map_scenario_rows",
+    "sweep_cache_info",
 ]
 
 #: Router name of the prepared engine (the guaranteed router's fast path).
@@ -307,31 +310,28 @@ def plan_sweep(
     )
 
 
-#: Per-process cache of materialised scenarios, keyed by spec (specs are
-#: frozen dataclasses, hashable unless a caller smuggles unhashable values
-#: into ``extra``).  Shards with the same spec — one scenario routed by
-#: several routers — then share one graph/schedule *object*, which is exactly
-#: what lets the identity-keyed :func:`repro.core.engine.prepare` /
-#: ``prepare_schedule`` caches hit across shards within a worker.  Bounded so
-#: a worker that sees many scenarios does not pin them all.
-_SCENARIO_CACHE: "OrderedDict[Tuple[str, ScenarioSpec], object]" = OrderedDict()
-_SCENARIO_CACHE_LIMIT = 32
+#: Per-process cache of materialised scenarios, keyed by ``(kind, spec)``
+#: (specs are frozen dataclasses, hashable unless a caller smuggles
+#: unhashable values into ``extra``; those are built fresh every time).
+#: Shards with the same spec — one scenario routed by several routers — then
+#: share one graph/schedule *object*, which is exactly what lets the
+#: identity-keyed :func:`repro.core.engine.prepare` / ``prepare_schedule``
+#: caches hit across shards within a worker.  Bounded so a worker that sees
+#: many scenarios does not pin them all.
+_SCENARIO_CACHE = LRUCache(32)
+
+#: Items :func:`parallel_map` re-ran serially in this process after a
+#: worker crash broke its pool.
+_POOL: Dict[str, int] = {"pool_recovered_items": 0}
+_POOL_LOCK = threading.Lock()
 
 
-def _materialise(kind: str, spec: ScenarioSpec, build: Callable[[ScenarioSpec], object]):
-    try:
-        key = (kind, spec)
-        cached = _SCENARIO_CACHE.get(key)
-    except TypeError:  # unhashable extra values: build fresh, skip caching
-        return build(spec)
-    if cached is None:
-        cached = build(spec)
-        _SCENARIO_CACHE[key] = cached
-        while len(_SCENARIO_CACHE) > _SCENARIO_CACHE_LIMIT:
-            _SCENARIO_CACHE.popitem(last=False)
-    else:
-        _SCENARIO_CACHE.move_to_end(key)
-    return cached
+def sweep_cache_info() -> Dict[str, int]:
+    """Scenario-cache counters and pool recoveries of this process."""
+    info = _SCENARIO_CACHE.info("sweep_scenario")
+    with _POOL_LOCK:
+        info.update(_POOL)
+    return info
 
 
 def _row(
@@ -405,7 +405,9 @@ def evaluate_shard(shard: SweepShard) -> List[List[object]]:
     """
     spec = shard.spec
     if shard.router == SCHEDULE_ROUTER:
-        schedule = _materialise("schedule", spec, build_schedule)
+        schedule = _SCENARIO_CACHE.get_or_build(
+            ("schedule", spec), lambda _: build_schedule(spec)
+        )
         engine = prepare_schedule(schedule)
         pairs = pick_source_target_pairs(schedule.snapshots[0], shard.pairs, seed=shard.seed)
         return [
@@ -435,7 +437,7 @@ def evaluate_shard(shard: SweepShard) -> List[List[object]]:
         pairs = pick_streamed_pairs(family, shard.pairs, seed=shard.seed)
         results = route_streamed_pairs(family, pairs)
         return _engine_rows(spec, shard.router, pairs, results)
-    network = _materialise("network", spec, build_scenario)
+    network = _SCENARIO_CACHE.get_or_build(("network", spec), lambda _: build_scenario(spec))
     pairs = pick_source_target_pairs(network, shard.pairs, seed=shard.seed)
     if shard.router == ENGINE_ROUTER:
         engine = prepare(network.graph)
@@ -498,7 +500,9 @@ def evaluate_shards(
         tasks = []
         shard_pairs: List[List[Tuple[int, int]]] = []
         for shard in engine_shards:
-            network = _materialise("network", shard.spec, build_scenario)
+            network = _SCENARIO_CACHE.get_or_build(
+                ("network", shard.spec), lambda _: build_scenario(shard.spec)
+            )
             pairs = pick_source_target_pairs(network, shard.pairs, seed=shard.seed)
             shard_pairs.append(pairs)
             tasks.append((prepare(network.graph), pairs, network.namespace_size))
@@ -765,7 +769,8 @@ def parallel_map(
     A worker killed mid-task (OOM killer, SIGKILL) breaks the whole pool:
     every pending future raises :class:`BrokenProcessPool`, which used to lose
     the entire batch.  The map recovers by re-running exactly the items whose
-    futures produced no result serially in the parent — ``fn`` is
+    futures produced no result serially in the parent, and counts them in
+    ``pool_recovered_items`` (:func:`sweep_cache_info`) — ``fn`` is
     deterministic per item, so the recovered results are order- and
     bit-identical to an undisturbed run.  Exceptions raised by ``fn`` itself
     are not retried; they propagate as before.
@@ -796,6 +801,8 @@ def parallel_map(
                     continue  # lost with the crashed worker; retry below
     except BrokenProcessPool:
         pass  # broke while shutting the pool down; survivors are in `completed`
+    with _POOL_LOCK:
+        _POOL["pool_recovered_items"] += len(items) - len(completed)
     return [
         completed[index] if index in completed else fn(item)
         for index, item in enumerate(items)

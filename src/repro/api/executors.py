@@ -19,8 +19,6 @@ subsequent task.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -42,6 +40,7 @@ from repro.baselines.base import RouterSpec
 from repro.core.broadcast import broadcast
 from repro.core.counting import count_nodes
 from repro.core.engine import prepare, prepare_schedule
+from repro.core.kernel_store import LRUCache
 from repro.core.routing import RouteResult
 from repro.core.stconnectivity import exploration_connectivity
 from repro.network.dynamics import DynamicOutcome
@@ -109,66 +108,41 @@ def result_provenance(request) -> Dict[str, object]:
 class ScenarioStore:
     """Per-session cache of materialised scenarios (networks and schedules).
 
-    Specs are frozen dataclasses, so the key is the spec itself; a spec whose
-    ``extra`` smuggles unhashable values is built fresh and not cached (same
-    tolerance as the sweep runner's per-process cache).  Bounded so a
-    long-lived session over many scenarios does not pin them all.  ``hits`` /
-    ``misses`` feed :meth:`repro.api.session.Session.cache_info`.
+    Two :class:`~repro.core.kernel_store.LRUCache` instances keyed by the
+    spec itself (specs are frozen dataclasses); a spec whose ``extra`` smuggles
+    unhashable values is built fresh and not cached.  Bounded so a
+    long-lived session over many scenarios does not pin them all; the
+    counters feed :meth:`repro.api.session.Session.cache_info`.
 
     Thread-safe: the server (:mod:`repro.server`) dispatches one shared
-    session from a thread pool, so the cache's compound mutations are guarded
-    by a lock.  Scenario *builds* run outside the lock (they dominate the
-    cost); two threads racing on the same cold spec may both build it — the
-    builds are deterministic, so either result is correct and one wins the
-    cache slot.
+    session from a thread pool.  Builds run outside the caches' locks; two
+    threads racing on the same cold spec may both build it — the builds are
+    deterministic, so either result is correct and one wins the cache slot.
     """
 
     _LIMIT = 32
 
     def __init__(self) -> None:
-        self._networks: "OrderedDict[ScenarioSpec, object]" = OrderedDict()
-        self._schedules: "OrderedDict[ScenarioSpec, object]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def _get(self, cache: OrderedDict, spec: ScenarioSpec, build):
-        with self._lock:
-            try:
-                cached = cache.get(spec)
-            except TypeError:  # unhashable extra values: build fresh, skip caching
-                cached = None
-                spec_hashable = False
-            else:
-                spec_hashable = True
-            if cached is not None:
-                self.hits += 1
-                cache.move_to_end(spec)
-                return cached
-            self.misses += 1
-        built = build(spec)
-        if spec_hashable:
-            with self._lock:
-                cache[spec] = built
-                while len(cache) > self._LIMIT:
-                    cache.popitem(last=False)
-        return built
+        self._networks = LRUCache(self._LIMIT)
+        self._schedules = LRUCache(self._LIMIT)
 
     def network(self, spec: ScenarioSpec):
         """The built :class:`~repro.network.adhoc.AdHocNetwork` for ``spec``."""
-        return self._get(self._networks, spec, build_scenario)
+        return self._networks.get_or_build(spec, build_scenario)
 
     def schedule(self, spec: ScenarioSpec):
         """The built :class:`~repro.network.dynamics.TopologySchedule` for ``spec``."""
-        return self._get(self._schedules, spec, build_schedule)
+        return self._schedules.get_or_build(spec, build_schedule)
 
     def info(self) -> Dict[str, int]:
         """Session-scoped cache statistics."""
+        caches = (self._networks, self._schedules)
         return {
             "session_networks": len(self._networks),
             "session_schedules": len(self._schedules),
-            "session_hits": self.hits,
-            "session_misses": self.misses,
+            "session_hits": sum(cache.hits for cache in caches),
+            "session_misses": sum(cache.misses for cache in caches),
+            "session_evictions": sum(cache.evictions for cache in caches),
         }
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.analysis.runner import sweep_cache_info
 from repro.api.backends import (
     Backend,
     InlineBackend,
@@ -166,14 +167,17 @@ class Session:
         Session keys (``session_*``) count this session's scenario cache;
         the remaining keys are :func:`repro.core.engine.prepared_cache_info`
         for the current process (shared engines, schedules, offset buffers,
-        their hit/miss counters, ``offsets_generated`` /
-        ``offset_generation_s`` for what the offset misses cost, and the
-        ``lockstep_batches`` / ``scalar_batches`` /
-        ``lockstep_spilled_pairs`` dispatch counters).  Worker
+        batch steppers, their hit/miss/eviction counters,
+        ``offsets_generated`` / ``offset_generation_s`` for what the offset
+        misses cost, and the ``lockstep_batches`` / ``scalar_batches`` /
+        ``lockstep_spilled_pairs`` dispatch counters) plus
+        :func:`repro.analysis.runner.sweep_cache_info` (the sweep runner's
+        ``sweep_scenario_*`` cache and ``pool_recovered_items``).  Worker
         processes keep their own caches, so pooled tasks contribute only
         their parent-side shares here.
         """
         info: Dict[str, float] = dict(prepared_cache_info())
+        info.update(sweep_cache_info())
         info.update(self._store.info())
         info["session_tasks"] = self._submitted
         return info

@@ -63,7 +63,6 @@ directly, and :func:`np_offsets_for` gives a zero-copy ``int8`` view of it.
 from __future__ import annotations
 
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,6 +70,7 @@ import numpy as _np
 
 from repro.errors import RoutingError
 from repro.graphs.labeled_graph import LabeledGraph  # noqa: F401  (doc references)
+from repro.core.kernel_store import LRUCache
 from repro.core.walk_kernel import CompiledWalk
 
 __all__ = [
@@ -113,8 +113,9 @@ _NO_OWNER = 1 << 40
 #: of exhausting memory; results are identical either way.
 _MAX_BUFFER_ELEMENTS = 1 << 26
 
-#: Bound on cached per-kernel batched steppers.
+#: Bounds on cached per-kernel batched and stacked multi-graph steppers.
 _BATCH_CACHE_LIMIT = 64
+_MULTI_CACHE_LIMIT = 8
 
 #: Outcome codes of :class:`ScheduleBatchedWalk` (mirroring DynamicOutcome,
 #: which lives above this module in the layer order).  The tick budget never
@@ -459,8 +460,8 @@ class ScheduleBatchedWalk:
         self._gateway_of = dict(gateway_of)
         #: index -> translation array; built lazily, once per real switch.
         self._translations: Dict[int, "_np.ndarray"] = {}
-        #: id(stepper) -> backward transition tables, built on first use.
-        self._back_steps: Dict[int, List["_np.ndarray"]] = {}
+        #: stepper (identity) -> backward transition tables, built on first use.
+        self._back_steps: Dict[BatchedWalk, List["_np.ndarray"]] = {}
 
     def _translation_into(self, index: int) -> "_np.ndarray":
         table = self._translations.get(index)
@@ -477,7 +478,7 @@ class ScheduleBatchedWalk:
         A backward step leaves through the entry edge, which *is* the state
         index: ``3 * next_vertex[s] + (next_port[s] - o) % 3``.
         """
-        tables = self._back_steps.get(id(stepper))
+        tables = self._back_steps.get(stepper)
         if tables is None:
             kernel = stepper.kernel
             back_v3 = 3 * _np.asarray(kernel.next_vertex, dtype=_np.int32)
@@ -486,7 +487,7 @@ class ScheduleBatchedWalk:
                 (back_v3 + (back_port - offset) % 3).astype(_np.int32)
                 for offset in range(3)
             ]
-            self._back_steps[id(stepper)] = tables
+            self._back_steps[stepper] = tables
         return tables
 
     def run(
@@ -734,48 +735,26 @@ class MultiGraphWalk:
 # Shared caches (mirroring the engine's per-process caches)
 # --------------------------------------------------------------------------- #
 
-#: Batched steppers keyed by ``id(kernel)``; entries hold the kernel strongly
-#: so an id cannot be recycled while its entry lives.
-_BATCH_CACHE: "OrderedDict[int, BatchedWalk]" = OrderedDict()
-
-#: Stacked multi-graph steppers keyed by the tuple of member stepper ids;
-#: entries hold the steppers strongly so the ids stay valid.
-_MULTI_CACHE: "OrderedDict[Tuple[int, ...], Tuple[Tuple[BatchedWalk, ...], MultiGraphWalk]]" = OrderedDict()
-_MULTI_CACHE_LIMIT = 8
+#: Batched steppers keyed by their kernel, and stacked multi-graph steppers
+#: keyed by the tuple of member steppers.  Neither class defines ``__eq__``,
+#: so both keys hash and compare by identity, and an entry holds its key
+#: objects strongly while it lives.
+_BATCH_CACHE = LRUCache(_BATCH_CACHE_LIMIT)
+_MULTI_CACHE = LRUCache(_MULTI_CACHE_LIMIT)
 
 
 def batched_walk_for(kernel: CompiledWalk) -> BatchedWalk:
     """The shared :class:`BatchedWalk` for a kernel (built on demand)."""
-    key = id(kernel)
-    entry = _BATCH_CACHE.get(key)
-    if entry is not None and entry.kernel is kernel:
-        _BATCH_CACHE.move_to_end(key)
-        return entry
-    entry = BatchedWalk(kernel)
-    _BATCH_CACHE[key] = entry
-    while len(_BATCH_CACHE) > _BATCH_CACHE_LIMIT:
-        _BATCH_CACHE.popitem(last=False)
-    return entry
+    return _BATCH_CACHE.get_or_build(kernel, BatchedWalk)
 
 
 def multigraph_walk_for(steppers: Sequence[BatchedWalk]) -> MultiGraphWalk:
     """The shared :class:`MultiGraphWalk` for an ordered stepper set.
 
-    Keyed by the member steppers' identities (held strongly by the entry),
-    so repeated sweep shards over the same compiled graphs reuse one stacked
+    Repeated sweep shards over the same compiled graphs reuse one stacked
     tensor instead of re-concatenating it per call.
     """
-    members = tuple(steppers)
-    key = tuple(id(stepper) for stepper in members)
-    entry = _MULTI_CACHE.get(key)
-    if entry is not None and all(a is b for a, b in zip(entry[0], members)):
-        _MULTI_CACHE.move_to_end(key)
-        return entry[1]
-    multi = MultiGraphWalk(members)
-    _MULTI_CACHE[key] = (members, multi)
-    while len(_MULTI_CACHE) > _MULTI_CACHE_LIMIT:
-        _MULTI_CACHE.popitem(last=False)
-    return multi
+    return _MULTI_CACHE.get_or_build(tuple(steppers), MultiGraphWalk)
 
 
 def np_offsets_for(offsets: bytes) -> "_np.ndarray":
@@ -790,8 +769,5 @@ def clear_batch_caches() -> None:
 
 
 def batch_cache_info() -> Dict[str, int]:
-    """Sizes of the batch-kernel caches, for this process (diagnostics only)."""
-    return {
-        "batched_kernels": len(_BATCH_CACHE),
-        "multigraph_kernels": len(_MULTI_CACHE),
-    }
+    """Sizes and counters of the batch-kernel caches, for this process."""
+    return {**_BATCH_CACHE.info("batched_kernel"), **_MULTI_CACHE.info("multigraph_kernel")}

@@ -219,7 +219,6 @@ class PreparedNetwork:
         #: sweeps that create a fresh provider per trial cannot pin an
         #: unbounded pile of providers and offset buffers on a cached engine.
         self._offsets_cache: LRUCache = LRUCache(_OFFSETS_CACHE_LIMIT)
-        self._original_components: Optional[Dict[int, FrozenSet[int]]] = None
 
     # ------------------------------------------------------------------ #
     # Shared state accessors
@@ -288,29 +287,20 @@ class PreparedNetwork:
         return offsets
 
     def original_component(self, vertex: int) -> FrozenSet[int]:
-        """Connected component of ``vertex`` in the *original* graph (cached)."""
-        if self._original_components is None:
-            components: Dict[int, FrozenSet[int]] = {}
-            graph = self._graph
-            seen = set()
-            for start in graph.vertices:
-                if start in seen:
-                    continue
-                stack = [start]
-                members = {start}
-                while stack:
-                    v = stack.pop()
-                    for port in range(graph.degree(v)):
-                        w, _ = graph.rotation(v, port)
-                        if w not in members:
-                            members.add(w)
-                            stack.append(w)
-                frozen = frozenset(members)
-                seen |= members
-                for member in members:
-                    components[member] = frozen
-            self._original_components = components
-        return self._original_components[vertex]
+        """Connected component of ``vertex`` in the *original* graph.
+
+        Read off the kernel's component table: the reduction maps every
+        original component onto exactly one reduced component, whose
+        virtual vertices' owners are its members.
+        """
+        kernel = self._kernel
+        component_id = kernel.component_id
+        wanted = component_id[kernel.gateway(vertex)]
+        return frozenset(
+            owner
+            for owner, component in zip(kernel.owner, component_id)
+            if component == wanted
+        )
 
     def _require_source(self, source: int) -> None:
         if not self._graph.has_vertex(source):
@@ -1282,6 +1272,9 @@ def prepared_cache_info() -> Dict[str, float]:
     (every actual ``CompiledWalk`` compilation in this process — zero on a
     fully warm start), and the disk-tier ``disk_hits`` / ``disk_misses`` /
     ``disk_saves`` / ``disk_errors`` counters when persistence is enabled.
+    The lockstep stepper caches report ``batched_kernels`` /
+    ``multigraph_kernels`` with their ``*_hits`` / ``*_misses`` /
+    ``*_evictions``.
     """
     from repro.core.batch_kernel import batch_cache_info
 

@@ -51,7 +51,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional
 
 import numpy as _np
 
@@ -171,17 +171,20 @@ def sweep_stale_tmp_files(cache_dir: str, max_age_seconds: float = STALE_TMP_SEC
 class LRUCache:
     """Bounded mapping with least-recently-used eviction and counters.
 
-    A thin, dependency-free replacement for the ad-hoc ``OrderedDict`` +
-    limit idiom used across the code base.  ``get`` counts a hit or a miss
-    and refreshes recency; callers that must validate an entry before
-    accepting it (the engine cache re-checks graph identity) use
-    ``peek``/``touch``/``record_miss`` to keep the counters truthful.
+    The one bounded cache of the code base: prepared engines and schedules,
+    per-engine offset buffers, batch steppers, and session and sweep
+    scenarios all live in an instance of it, so every one of them reports
+    ``hits`` / ``misses`` / ``evictions`` (see ``docs/architecture.md`` for
+    the inventory).  ``get`` counts a hit or a miss and refreshes recency;
+    ``get_or_build`` adds the build-and-store step on a miss; callers that
+    must validate an entry before accepting it (the engine cache re-checks
+    graph identity) use ``peek``/``touch``/``record_miss``.
 
     Every method is individually thread-safe (the server's dispatch pool
     drives ``prepare()`` from several threads): a per-instance lock guards
-    the ``OrderedDict``'s compound mutations so concurrent access can never
-    corrupt the structure.  Compound *caller* sequences (peek → validate →
-    put) may still interleave; the worst outcome is a duplicate build of a
+    every mutation and counter, so concurrent access can never corrupt the
+    structure or lose a count.  Builds run outside the lock, so compound
+    sequences may interleave; the worst outcome is a duplicate build of a
     deterministic value, never a wrong one.
     """
 
@@ -226,7 +229,8 @@ class LRUCache:
 
     def record_miss(self) -> None:
         """Count a miss decided outside ``get`` (e.g. failed validation)."""
-        self.misses += 1
+        with self._lock:
+            self.misses += 1
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Counted lookup: hit refreshes recency, miss returns ``default``."""
@@ -239,6 +243,29 @@ class LRUCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return value
+
+    def get_or_build(self, key: Any, build: Callable[[Any], Any]) -> Any:
+        """Counted lookup that stores and returns ``build(key)`` on a miss.
+
+        The build runs outside the lock, so two threads missing on one key
+        may both build it (the last ``put`` wins).  A key that cannot be
+        hashed (a scenario spec whose ``extra`` holds a list, say) counts as
+        a miss and is built fresh every time, never stored.
+        """
+        with self._lock:
+            try:
+                value = self._entries[key]
+            except (KeyError, TypeError) as error:
+                self.misses += 1
+                storable = isinstance(error, KeyError)
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return value
+        value = build(key)
+        if storable:
+            self.put(key, value)
+        return value
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/replace ``key`` and evict the LRU tail past capacity."""
@@ -267,6 +294,16 @@ class LRUCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+
+    def info(self, name: str) -> Dict[str, int]:
+        """Size and counters keyed ``<name>s`` / ``<name>_hits`` / ``_misses`` / ``_evictions``."""
+        with self._lock:
+            return {
+                name + "s": len(self._entries),
+                name + "_hits": self.hits,
+                name + "_misses": self.misses,
+                name + "_evictions": self.evictions,
+            }
 
     def clear(self) -> None:
         """Drop every entry and reset all counters."""
@@ -449,15 +486,9 @@ class KernelStore:
     def info(self) -> Dict[str, int]:
         """Counters of every tier, flat, for ``prepared_cache_info``."""
         return {
-            "engines": len(self.engines),
-            "engine_hits": self.engines.hits,
-            "engine_misses": self.engines.misses,
-            "engine_evictions": self.engines.evictions,
+            **self.engines.info("engine"),
             "engine_capacity": self.engines.capacity,
-            "schedules": len(self.schedules),
-            "schedule_hits": self.schedules.hits,
-            "schedule_misses": self.schedules.misses,
-            "schedule_evictions": self.schedules.evictions,
+            **self.schedules.info("schedule"),
             "kernel_compiles": self.kernel_compiles,
             "kernel_disk_enabled": int(self.disk_enabled),
             "disk_hits": self.disk_hits,

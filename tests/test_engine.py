@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.engine import PreparedNetwork, prepare, route_many_multi
 from repro.core.exploration import WalkState, step_backward, step_forward
+from repro.core.kernel_store import KernelStore
 from repro.core.routing import RouteOutcome, route
 from repro.errors import RoutingError
 from repro.graphs import generators
@@ -203,11 +204,28 @@ def test_engine_offsets_cached_per_provider(provider, grid_4x4):
     )
 
 
-def test_engine_original_component(two_components):
+def test_engine_original_component(two_components, tmp_path):
     engine = prepare(two_components)
     assert engine.original_component(0) == frozenset(connected_component(two_components, 0))
     assert engine.original_component(7) == frozenset(connected_component(two_components, 7))
     assert engine.original_component(0).isdisjoint(engine.original_component(7))
+
+    # Isolated vertices, and a kernel read back from the disk tier (which
+    # carries no reduction object), answer from the same component table.
+    graph = generators.disjoint_union(
+        [generators.cycle_graph(4), generators.path_graph(1), generators.grid_graph(2, 3), generators.path_graph(1)]
+    )
+    isolated = [v for v in graph.vertices if graph.degree(v) == 0]
+    assert isolated
+    store = KernelStore(cache_dir=str(tmp_path))
+    store.kernel_for(graph)
+    loaded = store.kernel_for(graph)
+    assert store.disk_hits == 1 and loaded.reduction is None
+    for candidate in (PreparedNetwork(graph), PreparedNetwork(graph, kernel=loaded)):
+        for vertex in graph.vertices:
+            assert candidate.original_component(vertex) == frozenset(
+                connected_component(graph, vertex)
+            )
 
 
 def test_explicit_engine_passed_to_protocol(provider, grid_network):

@@ -96,6 +96,28 @@ def test_lru_peek_and_touch_keep_counters_truthful():
     assert "b" not in cache
 
 
+def test_lru_get_or_build_stores_once_and_never_stores_unhashable_keys():
+    cache = LRUCache(2)
+    builds = []
+
+    def build(key):
+        builds.append(key)
+        return len(builds)
+
+    assert cache.get_or_build("a", build) == 1
+    assert cache.get_or_build("a", build) == 1
+    assert (cache.hits, cache.misses, builds) == (1, 1, ["a"])
+    unhashable = ("spec", ["extra"])
+    assert cache.get_or_build(unhashable, build) == 2
+    assert cache.get_or_build(unhashable, build) == 3
+    assert cache.info("entry") == {
+        "entrys": 1,
+        "entry_hits": 1,
+        "entry_misses": 3,
+        "entry_evictions": 0,
+    }
+
+
 def test_lru_resize_evicts_and_pop_clear_reset():
     cache = LRUCache(3)
     for key in "abc":

@@ -29,6 +29,7 @@ from repro.analysis.runner import (
     plan_sweep,
     run_sweep,
     shard_seed,
+    sweep_cache_info,
 )
 from repro.core.engine import clear_prepared_caches, prepare, prepared_cache_info
 from repro.errors import ExperimentError
@@ -164,9 +165,11 @@ def test_same_spec_shards_share_one_materialised_network():
     )
     runner._SCENARIO_CACHE.clear()
     try:
-        first = runner._materialise("network", plan.shards[0].spec, lambda s: object())
-        second = runner._materialise("network", plan.shards[1].spec, lambda s: object())
+        cache = runner._SCENARIO_CACHE
+        first = cache.get_or_build(("network", plan.shards[0].spec), lambda _: object())
+        second = cache.get_or_build(("network", plan.shards[1].spec), lambda _: object())
         assert first is second
+        assert runner.sweep_cache_info()["sweep_scenario_hits"] == 1
     finally:
         runner._SCENARIO_CACHE.clear()
 
@@ -392,8 +395,11 @@ def test_parallel_map_recovers_from_sigkilled_worker():
     expected = [value * value for value in range(8)]
     # The worker handling value 3 is SIGKILLed, which breaks the whole pool
     # (BrokenProcessPool); the lost items must be re-run serially, in order,
-    # with bit-identical results.
+    # with bit-identical results, and counted.
+    before = sweep_cache_info()["pool_recovered_items"]
     assert parallel_map(_square_or_die, items, workers=2) == expected
+    recovered = sweep_cache_info()["pool_recovered_items"] - before
+    assert 1 <= recovered <= len(items)
 
 
 def _always_raises(item):
